@@ -8,7 +8,6 @@ growth-dimension estimators.
 
 from .characters import (
     Basis,
-    BasisLabel,
     Character,
     Decomposition,
     decompose,

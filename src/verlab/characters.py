@@ -156,6 +156,8 @@ def weyl_char(m: int) -> Character:
 
 def base_p_digits(m: int, p: int) -> list[int]:
     """Base-p digits of m, least significant first; [0] for m = 0."""
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     if m == 0:
         return [0]
     digits = []
@@ -180,13 +182,6 @@ def simple_char(p: int, m: int) -> Character:
         if digit:
             out = out * weyl_char(digit).frobenius_twist(p**j)
     return out
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    kind: Basis
-    m: int
-    p: int | None = None
 
 
 @dataclass

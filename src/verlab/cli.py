@@ -399,7 +399,7 @@ def padic_recover(p: int, series_text: str, as_json: bool) -> None:
         e = padic.dimplus_from_series(padic.FpSeries(p, tuple(coeffs)))
         return (
             {"exponent": _render_padic(e), "dimplus": _render_padic(padic.padic_neg(e))},
-            "greedy digit recovery",
+            "digit-read recovery with a divisibility certificate per level",
         )
 
     emit("padic.recover", {"p": p, "series": coeffs}, compute, as_json)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .characters import simple_char
 from .errors import IndexOutOfRange, NonConvergence, NumericalInstability
+from .growth import log_big
 from .tilting import is_negligible, tensor_decompose_tilt
 
 
@@ -191,16 +192,6 @@ class GdEstimate:
     lengths: list[int] = field(default_factory=list)
 
 
-def _log_big(n: int) -> float:
-    """Natural log of a (possibly huge) positive integer."""
-    if n <= 0:
-        raise ValueError("log of non-positive length")
-    if n.bit_length() <= 900:
-        return math.log(n)
-    k = n.bit_length() - 60
-    return math.log(n >> k) + k * math.log(2.0)
-
-
 def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:
     """Growth dimension of x as the limit of ell(x^{(x)n})^(1/n).
 
@@ -217,5 +208,5 @@ def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:
             power = power * x
         ell = power.length()
         lengths.append(ell)
-        roots.append(math.exp(_log_big(ell) / n))
+        roots.append(math.exp(log_big(ell) / n))
     return GdEstimate(roots=roots, final=roots[-1], lengths=lengths)

@@ -17,7 +17,8 @@ from .characters import Basis, decompose, weyl_char
 from .errors import MissingHomDim
 
 
-def _log_big(n: int) -> float:
+def log_big(n: int) -> float:
+    """Natural log of a (possibly huge) positive integer."""
     if n <= 0:
         raise ValueError("log of non-positive value")
     if n.bit_length() <= 900:
@@ -28,21 +29,8 @@ def _log_big(n: int) -> float:
 
 # -- length engines -------------------------------------------------------
 
-_NABLA2_CACHE: dict[int, int] = {0: 1, 1: 1}
-
-
-def _nabla_length_char2(m: int) -> int:
-    """Length of the dual Weyl module in characteristic 2, by the recursion
-    ell(2n) = ell(n) + ell(n-1), ell(2n+1) = ell(n)."""
-    cached = _NABLA2_CACHE.get(m)
-    if cached is not None:
-        return cached
-    if m % 2 == 0:
-        val = _nabla_length_char2(m // 2) + _nabla_length_char2(m // 2 - 1)
-    else:
-        val = _nabla_length_char2(m // 2)
-    _NABLA2_CACHE[m] = val
-    return val
+# per prime p, the lengths computed so far, seeded with ell(0) and ell(-1)
+_LENGTHS: dict[int, dict[int, int]] = {}
 
 
 def nabla_length_by_decomposition(p: int, m: int) -> int:
@@ -53,15 +41,34 @@ def nabla_length_by_decomposition(p: int, m: int) -> int:
 def nabla_length(p: int, m: int) -> int:
     """Composition length of the dual Weyl module of highest weight m.
 
-    Characteristic 2 uses the memoized halving recursion (fast enough for
-    m up to 2^16 and beyond); other characteristics go through character
-    decomposition.  The two routes are cross-checked in the test suite.
+    One memoized recursion on the base-p digits serves every prime: with
+    m = p*b + a and 0 <= a <= p-1, ell(m) = ell(b) when a = p-1 and
+    ell(m) = ell(b) + ell(b-1) otherwise, from ell(0) = 1 and ell(-1) = 0.
+    For a <= p-2, nabla(m) has a two-step filtration with pieces
+    L(a) (x) nabla(b)^[1] and L(p-2-a) (x) nabla(b-1)^[1]; for a = p-1 it is
+    St (x) nabla(b)^[1]; Steinberg's theorem keeps each twisted product of
+    simples simple.  The test suite checks the recursion against
+    ``nabla_length_by_decomposition``.
     """
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     if m < 0:
         raise ValueError("highest weight must be non-negative")
-    if p == 2:
-        return _nabla_length_char2(m)
-    return nabla_length_by_decomposition(p, m)
+    table = _LENGTHS.get(p)
+    if table is None:
+        table = _LENGTHS[p] = {0: 1, -1: 0}
+    return _nabla_length(table, p, m)
+
+
+def _nabla_length(table: dict[int, int], p: int, m: int) -> int:
+    val = table.get(m)
+    if val is None:
+        b, a = divmod(m, p)
+        val = _nabla_length(table, p, b)
+        if a != p - 1:
+            val += _nabla_length(table, p, b - 1)
+        table[m] = val
+    return val
 
 
 _PARTITIONS: list[int] = [1]
@@ -196,7 +203,7 @@ def sgd_estimate(
         cumulative += ell
         if idx < len(sample_ns) and i == sample_ns[idx]:
             last_lengths[i] = ell
-            samples.append((i, cumulative, _log_big(cumulative) / math.log(i)))
+            samples.append((i, cumulative, log_big(cumulative) / math.log(i)))
             idx += 1
 
     tail = samples[-cfg.tail_points :]
@@ -212,7 +219,7 @@ def sgd_estimate(
     # per-degree growth ratio ell(Sym^n)^(1/n) at the last two samples
     def ratio(n: int) -> float:
         ell = last_lengths[n]
-        return math.exp(_log_big(ell) / n) if ell > 0 else 0.0
+        return math.exp(log_big(ell) / n) if ell > 0 else 0.0
 
     r_last = ratio(samples[-1][0])
     r_prev = ratio(samples[-2][0])

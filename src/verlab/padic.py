@@ -3,11 +3,14 @@
 The central identity: the Hilbert series of a symmetric algebra is
 (1-t)^{-D} for a p-adic integer D, where (1-t)^d for d in Z_p is defined
 digitwise as the product over j of (1 - t^{p^j})^{d_j}.  This module
-expands that product, recovers the exponent greedily from a series, and
-implements the finite-symmetric-algebra rule and the extension transform.
+expands that product, recovers the exponent from a series by reading one
+digit per p-adic level, and implements the finite-symmetric-algebra rule
+and the extension transform.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower
@@ -92,12 +95,14 @@ class FpSeries:
         if self.p != other.p:
             raise ValueError("mismatched primes")
         n = min(self.truncation, other.truncation)
+        xs = [(i, a) for i, a in enumerate(self.coeffs[: n + 1]) if a]
+        ys = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % self.p
+        for i, a in xs:
+            for j, b in ys:
+                if i + j > n:
+                    break
+                out[i + j] += a * b
         return FpSeries(self.p, tuple(out))
 
     def value_at_one(self) -> int:
@@ -116,16 +121,11 @@ def fp_one(p: int, n: int) -> FpSeries:
 
 
 def _one_minus_tk_pow(p: int, n: int, k: int, e: int) -> FpSeries:
-    """(1 - t^k)^e truncated at t^n, for small e >= 0 (at most p)."""
-    base = [0] * (n + 1)
-    base[0] = 1
-    if k <= n:
-        base[k] = p - 1
-    factor = FpSeries(p, tuple(base))
-    out = fp_one(p, n)
-    for _ in range(e):
-        out = out * factor
-    return out
+    """(1 - t^k)^e truncated at t^n, for e >= 0, from the binomials C(e, i)."""
+    out = [0] * (n + 1)
+    for i in range(min(e, n // k) + 1):
+        out[k * i] = (-1) ** i * math.comb(e, i)
+    return FpSeries(p, tuple(out))
 
 
 def one_minus_t_pow(d: PadicDigits, n: int | None = None) -> FpSeries:
@@ -154,14 +154,13 @@ def one_minus_t_pow_int(x: int, p: int, n: int | None = None) -> FpSeries:
     """(1-t)^x for an integer x, with precision chosen automatically."""
     if n is None:
         n = DEFAULT_TRUNCATION
-    m = 1
-    while p**m <= n:
-        m += 1
-    return one_minus_t_pow(padic_of_int(x, p, m), n)
+    return one_minus_t_pow(padic_of_int(x, p, recoverable_digits(p, n)), n)
 
 
 def recoverable_digits(p: int, n: int) -> int:
     """Number of p-adic digits determined by a series truncated at t^N."""
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     m = 1
     while p**m <= n:
         m += 1
@@ -171,38 +170,27 @@ def recoverable_digits(p: int, n: int) -> int:
 def dimplus_from_series(s: FpSeries) -> PadicDigits:
     """Recover e with s = (1-t)^e; the p-adic dimension is then -e.
 
-    Greedy per p-adic level: the unique digit d_0 makes
-    s * (1-t)^{p-d_0} a series in t^p (using (1-t)^p = 1-t^p over F_p);
-    divide out 1-t^p, compress, recurse.  Any failure of the divisibility
-    check means the input violates the pure-power guarantee.
+    One digit per p-adic level, read off the series: only the factor
+    (1-t)^{e_0} reaches t^1, so the t^1 coefficient is -e_0.  Then
+    s * (1-t)^{p-e_0} must be a series in t^p (using (1-t)^p = 1-t^p over
+    F_p); divide out 1-t^p, compress, recurse.  This divisibility check is
+    the certificate: any failure means the input is not a pure power.
     """
     p = s.p
     if not s.coeffs or s.coeffs[0] != 1:
         raise NotAPurePower("series must have constant term 1")
-    cur = list(s.coeffs)
-    n = len(cur) - 1
+    cur = s
     digits: list[int] = []
-    level = 0
-    while n >= 1:
-        found = None
-        for d0 in range(p):
-            w = (FpSeries(p, tuple(cur)) * _one_minus_tk_pow(p, n, 1, p - d0)).coeffs
-            if all(c == 0 for k, c in enumerate(w) if k % p != 0):
-                compressed = [w[p * k] for k in range(n // p + 1)]
-                # divide by 1 - t^p, i.e. by 1 - s in compressed coordinates
-                quot = [0] * len(compressed)
-                for k, c in enumerate(compressed):
-                    quot[k] = (c + (quot[k - 1] if k else 0)) % p
-                found = (d0, quot)
-                break
-        if found is None:
+    while cur.truncation >= 1:
+        d0 = -cur.coeffs[1] % p
+        w = (cur * _one_minus_tk_pow(p, cur.truncation, 1, p - d0)).coeffs
+        if any(c for k, c in enumerate(w) if k % p):
             raise NotAPurePower(
-                f"no digit yields divisibility at level {level}"
+                f"no digit yields divisibility at level {len(digits)}"
             )
-        d0, cur = found
+        # divide by 1 - t^p, i.e. by 1 - s in compressed coordinates
+        cur = FpSeries(p, tuple(itertools.accumulate(w[::p])))
         digits.append(d0)
-        n //= p
-        level += 1
     return PadicDigits(p, tuple(digits))
 
 

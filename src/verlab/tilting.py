@@ -13,16 +13,6 @@ from dataclasses import dataclass
 from .characters import Basis, Character, decompose, weyl_char
 
 
-@dataclass(frozen=True)
-class TiltingLabel:
-    p: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("highest weight must be non-negative")
-
-
 @functools.lru_cache(maxsize=None)
 def tilting_char(p: int, m: int) -> Character:
     """Character of the indecomposable tilting module T_m.

@@ -10,6 +10,7 @@ from verlab import (
     specialize,
     weyl_char,
 )
+from verlab.characters import base_p_digits
 from verlab.errors import NegativeCoefficient
 
 
@@ -125,6 +126,13 @@ class TestSimpleChar:
 
     def test_p2_m3_steinberg(self):
         assert simple_char(2, 3) == weyl_char(3)
+
+    def test_prime_below_two_rejected(self):
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError):
+                base_p_digits(5, p)
+            with pytest.raises(ValueError):
+                simple_char(p, 5)
 
 
 class TestDecompose:

@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import verlab
 from verlab.cli import main
+
+SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +28,15 @@ def invoke(*args):
 
 def payload(result):
     return json.loads(result.output)
+
+
+def run_process(*args, timeout=10):
+    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    return subprocess.run(
+        [sys.executable, "-m", "verlab.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 class TestFuseCommand:
@@ -76,6 +93,20 @@ class TestErrors:
         res = invoke("verp", "fuse", "-p", "5")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("char", "simple", "-p", "1", "-m", "5"),
+        ("char", "simple", "-p", "0", "-m", "5"),
+        ("padic", "pow", "-p", "1", "--exp", "3"),
+        ("padic", "pow", "-p", "0", "--exp", "3"),
+    ])
+    def test_prime_below_two_exit_1(self, args, schema):
+        res = run_process(*args)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stdout + res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "InvalidInput"
+
     def test_help_exit_0(self):
         res = invoke("--help")
         assert res.exit_code == 0
@@ -125,6 +156,16 @@ class TestSgdCommands:
         out = payload(res)["result"]
         assert out["classification"] == "polynomial"
         assert abs(out["final"] - 3.0) < 0.1
+
+    def test_sl2_sym_default_nmax_under_one_second(self):
+        start = time.perf_counter()
+        res = run_process("sgd", "estimate", "--provider", "sl2_sym", "-p", "3")
+        elapsed = time.perf_counter() - start
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        assert out["inputs"]["nmax"] == 2**14
+        assert out["result"]["classification"] == "polynomial"
+        assert elapsed < 1.0
 
     def test_diagnose_missing_provider_arg(self):
         res = invoke("sgd", "estimate", "--provider", "binomial")

@@ -44,8 +44,14 @@ class TestNablaLength:
             assert values[2 * n + 1] == values[n]
 
     def test_recursion_agrees_with_decomposition(self):
-        for m in range(257):
-            assert nabla_length(2, m) == nabla_length_by_decomposition(2, m)
+        for p in (2, 3, 5, 7, 11, 13):
+            for m in range(400):
+                assert nabla_length(p, m) == nabla_length_by_decomposition(p, m), (p, m)
+
+    def test_prime_below_two_rejected(self):
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError):
+                nabla_length(p, 5)
 
     def test_odd_characteristic(self):
         # single-digit weights are simple, so length 1

@@ -22,7 +22,48 @@ from verlab.errors import (
     NotAPurePower,
     NotPPower,
 )
-from verlab.padic import padic_add, padic_neg, recoverable_digits
+from verlab.padic import _one_minus_tk_pow, padic_add, padic_neg, recoverable_digits
+
+
+def schoolbook_product(a: FpSeries, b: FpSeries) -> FpSeries:
+    """Dense reference product: every pair of coefficients, zero or not."""
+    n = min(a.truncation, b.truncation)
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return FpSeries(a.p, tuple(out))
+
+
+class TestSeriesProduct:
+    def test_matches_schoolbook(self):
+        rng = random.Random(7)
+        for p in (2, 3, 5, 31):
+            for _ in range(60):
+                na, nb = rng.randrange(0, 40), rng.randrange(0, 40)
+                density = rng.choice((0.0, 0.1, 0.5, 1.0))
+                a, b = (
+                    FpSeries(p, tuple(
+                        rng.randrange(p) if rng.random() < density else 0
+                        for _ in range(n + 1)
+                    ))
+                    for n in (na, nb)
+                )
+                assert (a * b).coeffs == schoolbook_product(a, b).coeffs
+
+    def test_one_minus_tk_pow_matches_repeated_product(self):
+        for p in (2, 3, 5, 7):
+            for n in (0, 1, p, 3 * p + 1, 30):
+                for k in (1, 2, p, p * p):
+                    base = [0] * (n + 1)
+                    base[0] = 1
+                    if k <= n:
+                        base[k] = p - 1
+                    factor = FpSeries(p, tuple(base))
+                    expected = FpSeries(p, (1,) + (0,) * n)
+                    for e in range(p + 1):
+                        assert _one_minus_tk_pow(p, n, k, e) == expected, (p, n, k, e)
+                        expected = expected * factor
 
 
 class TestPadicOfInt:
@@ -98,8 +139,19 @@ class TestDimplusFromSeries:
         assert e.to_signed_int() == -6
 
     def test_not_a_pure_power(self):
-        with pytest.raises(NotAPurePower):
+        with pytest.raises(NotAPurePower, match="level 0"):
             dimplus_from_series(FpSeries(3, (1, 1, 2, 0, 1, 0, 0, 0, 0, 0)))
+        # 1 + t^3 passes level 0 (its digit is 0) and leaves 1 + s at level 1,
+        # whose read digit 2 fails: (1 + s)(1 - s) = 1 - s^2
+        with pytest.raises(NotAPurePower, match="level 1"):
+            dimplus_from_series(FpSeries(3, (1, 0, 0, 1) + (0,) * 17))
+
+    def test_roundtrip_against_padic_of_int(self):
+        for p, n in ((2, 2000), (3, 200), (7, 700), (31, 1000)):
+            m = recoverable_digits(p, n)
+            for x in (0, 1, -1, p - 1, p, -p, 2 * p + 1, -6, 977, -12345):
+                series = one_minus_t_pow_int(x, p, n)
+                assert dimplus_from_series(series) == padic_of_int(x, p, m), (p, n, x)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -192,6 +244,15 @@ class TestPalindromy:
     def test_failure_case(self):
         assert frobenius_palindromy_check(5, (1, 3, 1), 2) is True
         assert frobenius_palindromy_check(5, (1, 3, 2, 1), 3) is False
+
+
+class TestPrimeBelowTwo:
+    def test_rejected(self):
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError):
+                recoverable_digits(p, 64)
+            with pytest.raises(ValueError):
+                one_minus_t_pow_int(3, p, 64)
 
 
 class TestNeg:

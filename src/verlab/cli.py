@@ -253,7 +253,7 @@ def verp_fpdim(p: int, a: int, as_json: bool) -> None:
     emit(
         "verp.fpdim",
         {"p": p, "a": a},
-        lambda: (fusion.fpdim(p, a), "power iteration on the fusion matrix"),
+        lambda: (fusion.fpdim(p, a), "Collatz-Wielandt certificate of [a+1]_q"),
         as_json,
     )
 

@@ -29,10 +29,6 @@ class NumericalInstability(VerlabError):
     """Floating-point residual too large to round safely."""
 
 
-class NonConvergence(VerlabError):
-    """Iterative eigenvalue computation did not converge."""
-
-
 class InsufficientPrecision(VerlabError):
     """Not enough p-adic digits to determine the requested truncation."""
 

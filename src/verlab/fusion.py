@@ -12,14 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 from .characters import simple_char
-from .errors import IndexOutOfRange, NonConvergence, NumericalInstability
+from .errors import IndexOutOfRange, NumericalInstability
 from .growth import log_big
 from .tilting import is_negligible, tensor_decompose_tilt
-
-
-def _check_index(p: int, a: int, what: str = "index") -> None:
-    if not 0 <= a <= p - 2:
-        raise IndexOutOfRange(f"{what} {a} outside [0, {p - 2}] for p={p}")
+from .verpn import check_index
 
 
 class FusionElement:
@@ -31,7 +27,7 @@ class FusionElement:
         self.p = p
         clean: dict[int, int] = {}
         for i, m in (mults or {}).items():
-            _check_index(p, i)
+            check_index(p, 1, i)
             if m < 0:
                 raise ValueError("multiplicities must be non-negative")
             if m:
@@ -87,15 +83,15 @@ def _fuse_mults(p: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
 
 def fuse(p: int, a: int, b: int) -> FusionElement:
     """Fusion product L_a (x) L_b via the tilting quotient."""
-    _check_index(p, a)
-    _check_index(p, b)
+    check_index(p, 1, a)
+    check_index(p, 1, b)
     return FusionElement(p, dict(_fuse_mults(p, a, b)))
 
 
 def clebsch_gordan_truncated(p: int, a: int, b: int, c: int) -> int:
     """Closed-form oracle: N_{ab}^c is 0 or 1 by the truncated CG rule."""
     for x in (a, b, c):
-        _check_index(p, x)
+        check_index(p, 1, x)
     if (a + b - c) % 2 != 0:
         return 0
     if abs(a - b) <= c <= min(a + b, 2 * (p - 2) - (a + b)):
@@ -111,8 +107,8 @@ def verlinde_oracle(p: int, a: int, b: int, c: int) -> int:
     below 1e-6.  The output slot c may be p-1 (one past the last simple),
     where the S-column vanishes and the coefficient is identically 0.
     """
-    _check_index(p, a)
-    _check_index(p, b)
+    check_index(p, 1, a)
+    check_index(p, 1, b)
     if not 0 <= c <= p - 1:
         raise IndexOutOfRange(f"output index {c} outside [0, {p - 1}] for p={p}")
     total = 0.0
@@ -131,13 +127,13 @@ def verlinde_oracle(p: int, a: int, b: int, c: int) -> int:
 
 def dim_fp(p: int, a: int) -> int:
     """Categorical dimension of L_a as a residue mod p."""
-    _check_index(p, a)
+    check_index(p, 1, a)
     return (a + 1) % p
 
 
 def fusion_matrix(p: int, a: int) -> list[list[int]]:
     """Matrix of fusion with L_a: entry [b][c] = N_{ab}^c."""
-    _check_index(p, a)
+    check_index(p, 1, a)
     mat = [[0] * (p - 1) for _ in range(p - 1)]
     for b in range(p - 1):
         for c, n in fuse(p, a, b).mults.items():
@@ -145,40 +141,26 @@ def fusion_matrix(p: int, a: int) -> list[list[int]]:
     return mat
 
 
-def fpdim(p: int, a: int, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of the fusion matrix of L_a by power iteration.
+def fpdim(p: int, a: int) -> float:
+    """Frobenius-Perron dimension of L_a, certified by Collatz-Wielandt.
 
-    The matrix is shifted by the identity first (fusion graphs can be
-    bipartite, which makes unshifted power iteration oscillate).  The
-    result is cross-checked against the quantum dimension of chi_a.
+    The candidate is the quantum dimension [a+1]_q, q = exp(i*pi/p), with
+    the strictly positive vector v_b = [b+1]_q.  For the nonnegative fusion
+    matrix M of L_a, min_b (Mv)_b / v_b <= rho(M) <= max_b (Mv)_b / v_b, so
+    both bounds within 1e-9 (relative) of [a+1]_q prove it is rho(M).
     """
-    _check_index(p, a)
-    mat = fusion_matrix(p, a)
-    size = p - 1
-
-    def apply(vec: list[float]) -> list[float]:
-        return [
-            vec[b] + sum(mat[b][c] * vec[c] for c in range(size)) for b in range(size)
-        ]
-
-    v = [1.0] * size
-    for _ in range(max_iter):
-        w = apply(v)
-        nrm = max(w)
-        w = [x / nrm for x in w]
-        if max(abs(x - y) for x, y in zip(w, v)) <= tol:
-            v = w
-            break
-        v = w
-    else:
-        raise NonConvergence(f"power iteration for (p={p}, a={a})")
-    mv = apply(v)
-    rayleigh = sum(x * y for x, y in zip(v, mv)) / sum(x * x for x in v)
-    value = rayleigh - 1.0
-    expected = simple_char(p, a).quantum_dimension(p)
-    if abs(value - expected) > 1e-8:
+    check_index(p, 1, a)
+    v = [simple_char(p, b).quantum_dimension(p) for b in range(p - 1)]
+    value = v[a]
+    ratios = [
+        sum(n * x for n, x in zip(row, v)) / v[b]
+        for b, row in enumerate(fusion_matrix(p, a))
+    ]
+    lo, hi = min(ratios), max(ratios)
+    if max(value - lo, hi - value) > 1e-9 * value:
         raise NumericalInstability(
-            f"power iteration gave {value}, quantum dimension is {expected}"
+            f"Collatz-Wielandt bounds [{lo}, {hi}] do not pin the quantum "
+            f"dimension {value} for (p={p}, a={a})"
         )
     return value
 

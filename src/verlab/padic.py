@@ -83,6 +83,8 @@ class FpSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.p < 2:
+            raise ValueError(f"p = {self.p} must be at least 2")
         object.__setattr__(
             self, "coeffs", tuple(c % self.p for c in self.coeffs)
         )

@@ -22,7 +22,8 @@ def max_index(p: int, n: int) -> int:
     return p ** (n - 1) * (p - 1) - 1
 
 
-def _check_index(p: int, n: int, i: int) -> None:
+def check_index(p: int, n: int, i: int) -> None:
+    """Raise IndexOutOfRange unless 0 <= i <= max_index(p, n)."""
     if not 0 <= i <= max_index(p, n):
         raise IndexOutOfRange(
             f"index {i} outside [0, {max_index(p, n)}] for (p={p}, n={n})"
@@ -36,7 +37,7 @@ class VerpnSimple:
     index: int
 
     def __post_init__(self) -> None:
-        _check_index(self.p, self.n, self.index)
+        check_index(self.p, self.n, self.index)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -48,7 +49,7 @@ def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:
 
     The index bound guarantees the leading digit is at most p-2.
     """
-    _check_index(p, n, i)
+    check_index(p, n, i)
     digits = []
     for _ in range(n):
         digits.append(i % p)
@@ -74,7 +75,7 @@ def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> Ve
 
 def embed(p: int, n: int, i: int) -> int:
     """Index of L_i of level p^n inside level p^{n+1}: multiply by p."""
-    _check_index(p, n, i)
+    check_index(p, n, i)
     return p * i
 
 
@@ -89,7 +90,7 @@ def odd_line(p: int, n: int) -> int:
 
 def is_invertible_simple(p: int, n: int, i: int) -> bool:
     """True for the unit and (odd p) the odd line; the only invertibles."""
-    _check_index(p, n, i)
+    check_index(p, n, i)
     if i == 0:
         return True
     return p > 2 and i == odd_line(p, n)
@@ -165,7 +166,7 @@ def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
     non-invertible simple dies one step above an invertible symmetric
     power), upward closure of Zero.  Anything else is Unknown.
     """
-    _check_index(p, n, i)
+    check_index(p, n, i)
     if k < 0:
         raise ValueError("power k must be >= 0")
 

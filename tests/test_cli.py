@@ -98,6 +98,9 @@ class TestErrors:
         ("char", "simple", "-p", "0", "-m", "5"),
         ("padic", "pow", "-p", "1", "--exp", "3"),
         ("padic", "pow", "-p", "0", "--exp", "3"),
+        ("char", "tilt", "-p", "1", "-m", "3"),
+        ("char", "tilt", "-p", "0", "-m", "3"),
+        ("padic", "recover", "-p", "0", "--series", "[1,1]"),
     ])
     def test_prime_below_two_exit_1(self, args, schema):
         res = run_process(*args)

@@ -13,7 +13,8 @@ from verlab import (
     simple_char,
     verlinde_oracle,
 )
-from verlab.errors import IndexOutOfRange
+from verlab import fusion
+from verlab.errors import IndexOutOfRange, NumericalInstability
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -131,6 +132,24 @@ class TestFpdim:
                         n * fpdim(p, c) for c, n in fuse(p, a, b).mults.items()
                     )
                     assert abs(fpdim(p, a) * fpdim(p, b) - rhs) < 1e-8
+
+    def test_matches_closed_form(self):
+        for p in (2, 3, 5, 31, 61):
+            for a in range(p - 1):
+                q = math.sin((a + 1) * math.pi / p) / math.sin(math.pi / p)
+                assert abs(fpdim(p, a) - q) < 1e-9
+
+    def test_certificate_rejects_perturbed_matrix(self, monkeypatch):
+        exact = fusion.fusion_matrix
+
+        def perturbed(p, a):
+            mat = exact(p, a)
+            mat[0][0] += 1
+            return mat
+
+        monkeypatch.setattr(fusion, "fusion_matrix", perturbed)
+        with pytest.raises(NumericalInstability):
+            fpdim(5, 1)
 
 
 class TestGdEstimate:

@@ -254,6 +254,11 @@ class TestPrimeBelowTwo:
             with pytest.raises(ValueError):
                 one_minus_t_pow_int(3, p, 64)
 
+    def test_series_rejected(self):
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError):
+                FpSeries(p, (1, 1))
+
 
 class TestNeg:
     def test_neg_roundtrip(self):

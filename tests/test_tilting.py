@@ -51,6 +51,11 @@ class TestTiltingChar:
                 assert all(mult > 0 for mult in dec.terms.values())
                 assert dec.reconstruct() == tilting_char(p, m)
 
+    def test_prime_below_two_rejected(self):
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError):
+                tilting_char(p, 3)
+
 
 class TestTensorDecompose:
     def test_p2_t1_t1(self):

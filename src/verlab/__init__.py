@@ -28,7 +28,6 @@ from .growth import (
     GrowthEstimate,
     LengthProvider,
     MnReport,
-    SgdConfig,
     binomial_provider,
     constant_provider,
     csv_provider,
@@ -51,7 +50,7 @@ from .padic import (
     one_minus_t_pow_int,
     padic_of_int,
 )
-from .tilting import TiltDecomposition, is_negligible, tensor_decompose_tilt, tilting_char
+from .tilting import is_negligible, tensor_decompose_tilt, tilting_char
 from .verpn import (
     Sym,
     SymStatus,

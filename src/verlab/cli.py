@@ -1,14 +1,14 @@
 """Command-line front door: every operation, machine-readable output.
 
 JSON is the default output format; ``--text`` renders small human-readable
-tables.  Domain errors exit 1 with a machine-readable error object, usage
-errors exit 2.  The truncation for series commands defaults to 64 and can
-be overridden by ``--prec`` or the VERLAB_PREC environment variable.
+tables.  Click parses every option, so malformed input is a usage error
+(exit 2); domain errors exit 1 with a machine-readable error object.  The
+truncation for series commands defaults to 64 and can be overridden by
+``--prec`` or the VERLAB_PREC environment variable.
 """
 from __future__ import annotations
 
 import json
-import os
 import sys
 from typing import Any, Callable
 
@@ -18,19 +18,52 @@ from . import characters, fusion, growth, padic, tilting, verpn
 from .errors import VerlabError
 
 
-def default_truncation() -> int:
-    return int(os.environ.get("VERLAB_PREC", padic.DEFAULT_TRUNCATION))
+def _is_weight_map(data: Any) -> bool:
+    """A folded weight map {"m": mult}, optionally wrapped in {"weights": ...}."""
+    if isinstance(data, dict):
+        data = data.get("weights", data)
+    return isinstance(data, dict) and all(
+        w.removeprefix("-").isdecimal() and type(k) is int for w, k in data.items()
+    )
+
+
+def _is_int_array(data: Any) -> bool:
+    return isinstance(data, list) and all(type(c) is int for c in data)
+
+
+def _json_option(shape: Callable[[Any], bool], what: str) -> Callable:
+    """Option callback: decode JSON text of the given shape, else a usage error."""
+
+    def decode(ctx: click.Context, param: click.Parameter, text: str) -> Any:
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = None
+        if not shape(value):
+            raise click.BadParameter(f"expected {what}, got {text!r}")
+        return value
+
+    return decode
+
+
+_weight_map_option = _json_option(_is_weight_map, 'a JSON weight map like {"1": 1}')
+_int_array_option = _json_option(_is_int_array, "a JSON array of integers")
+
+
+def _int_list_option(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _render_character(c: characters.Character) -> dict:
     return {"weights": {str(w): k for w, k in sorted(c.coeffs.items())}}
 
 
-def _parse_character(text: str) -> characters.Character:
-    data = json.loads(text)
-    if isinstance(data, dict) and "weights" in data:
-        data = data["weights"]
-    return characters.Character({int(w): int(k) for w, k in data.items()})
+def _parse_character(data: dict) -> characters.Character:
+    data = data.get("weights", data)
+    return characters.Character({int(w): k for w, k in data.items()})
 
 
 def _render_padic(d: padic.PadicDigits) -> dict:
@@ -46,14 +79,15 @@ def _render_series(s: padic.FpSeries) -> dict:
     return {"p": s.p, "coeffs": list(s.coeffs), "truncation": s.truncation}
 
 
-def emit(
-    command: str,
-    inputs: dict,
-    compute: Callable[[], tuple[Any, str]],
-    as_json: bool,
-    text_render: Callable[[Any], str] | None = None,
-) -> None:
-    """Run a command body and print a stable payload; exit 1 on domain error."""
+def emit(compute: Callable[[], tuple[Any, str]], as_json: bool) -> None:
+    """Run a command body and print a stable payload; exit 1 on domain error.
+
+    The command name and the inputs come from click's context: the group
+    and command names, and every parsed option except the output format.
+    """
+    ctx = click.get_current_context()
+    command = f"{ctx.parent.info_name}.{ctx.info_name}"
+    inputs = {k: v for k, v in ctx.params.items() if k != "as_json"}
     try:
         result, provenance = compute()
     except (VerlabError, ValueError) as exc:
@@ -74,8 +108,7 @@ def emit(
         }
         click.echo(json.dumps(payload, sort_keys=True))
     else:
-        text = text_render(result) if text_render else json.dumps(result, sort_keys=True)
-        click.echo(f"{command}: {text}")
+        click.echo(f"{command}: {json.dumps(result, sort_keys=True)}")
 
 
 def format_flag(f: Callable) -> Callable:
@@ -105,8 +138,6 @@ def char() -> None:
 @format_flag
 def char_weyl(m: int, as_json: bool) -> None:
     emit(
-        "char.weyl",
-        {"m": m},
         lambda: (_render_character(characters.weyl_char(m)), "quantum integer [m+1]_q"),
         as_json,
     )
@@ -118,8 +149,6 @@ def char_weyl(m: int, as_json: bool) -> None:
 @format_flag
 def char_simple(p: int, m: int, as_json: bool) -> None:
     emit(
-        "char.simple",
-        {"p": p, "m": m},
         lambda: (
             _render_character(characters.simple_char(p, m)),
             "Steinberg digit factorization",
@@ -134,8 +163,6 @@ def char_simple(p: int, m: int, as_json: bool) -> None:
 @format_flag
 def char_tilt(p: int, m: int, as_json: bool) -> None:
     emit(
-        "char.tilt",
-        {"p": p, "m": m},
         lambda: (
             _render_character(tilting.tilting_char(p, m)),
             "tilting character recursion",
@@ -145,15 +172,15 @@ def char_tilt(p: int, m: int, as_json: bool) -> None:
 
 
 @char.command("mul")
-@click.option("--a", "a_text", required=True, help='folded weight map, e.g. {"1": 1}')
-@click.option("--b", "b_text", required=True)
+@click.option(
+    "--a", required=True, callback=_weight_map_option, help='folded weight map, e.g. {"1": 1}'
+)
+@click.option("--b", required=True, callback=_weight_map_option)
 @format_flag
-def char_mul(a_text: str, b_text: str, as_json: bool) -> None:
+def char_mul(a: dict, b: dict, as_json: bool) -> None:
     emit(
-        "char.mul",
-        {"a": json.loads(a_text), "b": json.loads(b_text)},
         lambda: (
-            _render_character(_parse_character(a_text) * _parse_character(b_text)),
+            _render_character(_parse_character(a) * _parse_character(b)),
             "Laurent convolution, refolded",
         ),
         as_json,
@@ -161,7 +188,7 @@ def char_mul(a_text: str, b_text: str, as_json: bool) -> None:
 
 
 @char.command("decompose")
-@click.option("--char", "char_text", required=True, help="folded weight map")
+@click.option("--char", required=True, callback=_weight_map_option, help="folded weight map")
 @click.option(
     "--basis",
     type=click.Choice([b.value for b in characters.Basis]),
@@ -169,17 +196,15 @@ def char_mul(a_text: str, b_text: str, as_json: bool) -> None:
 )
 @click.option("-p", type=int, default=None)
 @format_flag
-def char_decompose(char_text: str, basis: str, p: int | None, as_json: bool) -> None:
+def char_decompose(char: dict, basis: str, p: int | None, as_json: bool) -> None:
     def compute():
-        dec = characters.decompose(
-            _parse_character(char_text), characters.Basis(basis), p
-        )
+        dec = characters.decompose(_parse_character(char), characters.Basis(basis), p)
         return (
             {"terms": {str(m): mult for m, mult in sorted(dec.terms.items())}},
             "greedy unitriangular peeling",
         )
 
-    emit("char.decompose", {"char": json.loads(char_text), "basis": basis, "p": p}, compute, as_json)
+    emit(compute, as_json)
 
 
 # -- tilt -----------------------------------------------------------------
@@ -203,7 +228,7 @@ def tilt_fuse_decompose(p: int, a: int, b: int, as_json: bool) -> None:
             "character decomposition in the tilting basis",
         )
 
-    emit("tilt.fuse-decompose", {"p": p, "a": a, "b": b}, compute, as_json)
+    emit(compute, as_json)
 
 
 # -- verp -----------------------------------------------------------------
@@ -227,7 +252,7 @@ def verp_fuse(p: int, a: int, b: int, as_json: bool) -> None:
             "tilting quotient: decompose, drop negligibles",
         )
 
-    emit("verp.fuse", {"p": p, "a": a, "b": b}, compute, as_json)
+    emit(compute, as_json)
 
 
 @verp.command("oracle")
@@ -238,8 +263,6 @@ def verp_fuse(p: int, a: int, b: int, as_json: bool) -> None:
 @format_flag
 def verp_oracle(p: int, a: int, b: int, c: int, as_json: bool) -> None:
     emit(
-        "verp.oracle",
-        {"p": p, "a": a, "b": b, "c": c},
         lambda: (fusion.verlinde_oracle(p, a, b, c), "numeric S-matrix sum"),
         as_json,
     )
@@ -251,8 +274,6 @@ def verp_oracle(p: int, a: int, b: int, c: int, as_json: bool) -> None:
 @format_flag
 def verp_fpdim(p: int, a: int, as_json: bool) -> None:
     emit(
-        "verp.fpdim",
-        {"p": p, "a": a},
         lambda: (fusion.fpdim(p, a), "Collatz-Wielandt certificate of [a+1]_q"),
         as_json,
     )
@@ -271,7 +292,7 @@ def verp_gd(p: int, a: int, nmax: int, as_json: bool) -> None:
             "exact iterated fusion lengths",
         )
 
-    emit("verp.gd", {"p": p, "a": a, "nmax": nmax}, compute, as_json)
+    emit(compute, as_json)
 
 
 # -- verpn ----------------------------------------------------------------
@@ -288,24 +309,16 @@ def verpn_group() -> None:
 @click.option("-i", type=int, required=True)
 @format_flag
 def verpn_digits(p: int, n: int, i: int, as_json: bool) -> None:
-    emit(
-        "verpn.digits",
-        {"p": p, "n": n, "i": i},
-        lambda: (list(verpn.steinberg_digits(p, n, i)), "base-p expansion"),
-        as_json,
-    )
+    emit(lambda: (list(verpn.steinberg_digits(p, n, i)), "base-p expansion"), as_json)
 
 
 @verpn_group.command("product")
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
-@click.option("--digits", "digits_text", required=True, help="comma-separated")
+@click.option("--digits", required=True, callback=_int_list_option, help="comma-separated")
 @format_flag
-def verpn_product(p: int, n: int, digits_text: str, as_json: bool) -> None:
-    digits = [int(x) for x in digits_text.split(",")]
+def verpn_product(p: int, n: int, digits: list[int], as_json: bool) -> None:
     emit(
-        "verpn.product",
-        {"p": p, "n": n, "digits": digits},
         lambda: (
             verpn.steinberg_product(p, n, digits).index,
             "Steinberg tensor product",
@@ -320,12 +333,7 @@ def verpn_product(p: int, n: int, digits_text: str, as_json: bool) -> None:
 @click.option("-i", type=int, required=True)
 @format_flag
 def verpn_embed(p: int, n: int, i: int, as_json: bool) -> None:
-    emit(
-        "verpn.embed",
-        {"p": p, "n": n, "i": i},
-        lambda: (verpn.embed(p, n, i), "index multiplies by p one level up"),
-        as_json,
-    )
+    emit(lambda: (verpn.embed(p, n, i), "index multiplies by p one level up"), as_json)
 
 
 @verpn_group.command("oddline")
@@ -333,12 +341,7 @@ def verpn_embed(p: int, n: int, i: int, as_json: bool) -> None:
 @click.option("-n", type=int, required=True)
 @format_flag
 def verpn_oddline(p: int, n: int, as_json: bool) -> None:
-    emit(
-        "verpn.oddline",
-        {"p": p, "n": n},
-        lambda: (verpn.odd_line(p, n), "index p^(n-1)(p-2)"),
-        as_json,
-    )
+    emit(lambda: (verpn.odd_line(p, n), "index p^(n-1)(p-2)"), as_json)
 
 
 @verpn_group.command("sympower")
@@ -359,7 +362,7 @@ def verpn_sympower(p: int, n: int, i: int, k: int, as_json: bool) -> None:
             "symmetric-power knowledge base",
         )
 
-    emit("verpn.sympower", {"p": p, "n": n, "i": i, "k": k}, compute, as_json)
+    emit(compute, as_json)
 
 
 # -- padic ----------------------------------------------------------------
@@ -372,16 +375,19 @@ def padic_group() -> None:
 
 @padic_group.command("pow")
 @click.option("-p", type=int, required=True)
-@click.option("--exp", "exponent", type=int, required=True, help="integer exponent d")
-@click.option("--prec", type=int, default=None, help="series truncation N")
+@click.option("--exp", type=int, required=True, help="integer exponent d")
+@click.option(
+    "--prec",
+    type=int,
+    default=padic.DEFAULT_TRUNCATION,
+    envvar="VERLAB_PREC",
+    help="series truncation N",
+)
 @format_flag
-def padic_pow(p: int, exponent: int, prec: int | None, as_json: bool) -> None:
-    n = prec if prec is not None else default_truncation()
+def padic_pow(p: int, exp: int, prec: int, as_json: bool) -> None:
     emit(
-        "padic.pow",
-        {"p": p, "exp": exponent, "prec": n},
         lambda: (
-            _render_series(padic.one_minus_t_pow_int(exponent, p, n)),
+            _render_series(padic.one_minus_t_pow_int(exp, p, prec)),
             "digit product expansion of (1-t)^d",
         ),
         as_json,
@@ -390,19 +396,19 @@ def padic_pow(p: int, exponent: int, prec: int | None, as_json: bool) -> None:
 
 @padic_group.command("recover")
 @click.option("-p", type=int, required=True)
-@click.option("--series", "series_text", required=True, help="JSON array of residues")
+@click.option(
+    "--series", required=True, callback=_int_array_option, help="JSON array of residues"
+)
 @format_flag
-def padic_recover(p: int, series_text: str, as_json: bool) -> None:
-    coeffs = json.loads(series_text)
-
+def padic_recover(p: int, series: list[int], as_json: bool) -> None:
     def compute():
-        e = padic.dimplus_from_series(padic.FpSeries(p, tuple(coeffs)))
+        e = padic.dimplus_from_series(padic.FpSeries(p, tuple(series)))
         return (
             {"exponent": _render_padic(e), "dimplus": _render_padic(padic.padic_neg(e))},
             "digit-read recovery with a divisibility certificate per level",
         )
 
-    emit("padic.recover", {"p": p, "series": coeffs}, compute, as_json)
+    emit(compute, as_json)
 
 
 @padic_group.command("finite")
@@ -411,8 +417,6 @@ def padic_recover(p: int, series_text: str, as_json: bool) -> None:
 @format_flag
 def padic_finite(top: int, p: int | None, as_json: bool) -> None:
     emit(
-        "padic.finite",
-        {"top": top, "p": p},
         lambda: (
             {"dimplus": padic.dimplus_of_finite_sym(top, p)},
             "finite symmetric algebra rule",
@@ -435,25 +439,19 @@ def padic_extend(p: int, nlen: int, dimv: int, dimvdual: int, as_json: bool) -> 
             "extension transform: shift by 1-nlen and by 1",
         )
 
-    emit(
-        "padic.extend",
-        {"p": p, "nlen": nlen, "dimv": dimv, "dimvdual": dimvdual},
-        compute,
-        as_json,
-    )
+    emit(compute, as_json)
 
 
 @padic_group.command("palindrome")
 @click.option("-p", type=int, required=True)
-@click.option("--series", "series_text", required=True, help="JSON array, length d+1")
+@click.option(
+    "--series", required=True, callback=_int_array_option, help="JSON array, length d+1"
+)
 @format_flag
-def padic_palindrome(p: int, series_text: str, as_json: bool) -> None:
-    coeffs = json.loads(series_text)
+def padic_palindrome(p: int, series: list[int], as_json: bool) -> None:
     emit(
-        "padic.palindrome",
-        {"p": p, "series": coeffs},
         lambda: (
-            padic.frobenius_palindromy_check(p, coeffs, len(coeffs) - 1),
+            padic.frobenius_palindromy_check(p, series, len(series) - 1),
             "twisted palindromy of a finite Hilbert series",
         ),
         as_json,
@@ -498,7 +496,7 @@ _provider_options = [
     ),
     click.option("-p", type=int, default=None),
     click.option("--m", type=int, default=None),
-    click.option("--csv", "csv_path", type=str, default=None),
+    click.option("--csv", "csv_path", type=click.Path(exists=True, dir_okay=False)),
     click.option("--nmax", type=int, default=2**14),
 ]
 
@@ -515,10 +513,8 @@ def _with_provider_options(f: Callable) -> Callable:
 def sgd_estimate_cmd(
     provider: str, p: int | None, m: int | None, csv_path: str | None, nmax: int, as_json: bool
 ) -> None:
-    prov = _build_provider(provider, p, m, csv_path)
-
     def compute():
-        est = growth.sgd_estimate(prov, nmax)
+        est = growth.sgd_estimate(_build_provider(provider, p, m, csv_path), nmax)
         return (
             {
                 "samples": [
@@ -533,12 +529,7 @@ def sgd_estimate_cmd(
             "tail fit of cumulative symmetric lengths at powers of two",
         )
 
-    emit(
-        "sgd.estimate",
-        {"provider": prov.name, "nmax": nmax},
-        compute,
-        as_json,
-    )
+    emit(compute, as_json)
 
 
 @sgd_group.command("diagnose")
@@ -554,11 +545,10 @@ def sgd_diagnose_cmd(
     homdim: int | None,
     as_json: bool,
 ) -> None:
-    prov = _build_provider(provider, p, m, csv_path)
-    if homdim is not None:
-        prov.hom_dim = homdim
-
     def compute():
+        prov = _build_provider(provider, p, m, csv_path)
+        if homdim is not None:
+            prov.hom_dim = homdim
         report = growth.mn_diagnostic(prov, nmax)
         return (
             {
@@ -571,12 +561,7 @@ def sgd_diagnose_cmd(
             "growth estimate vs dim Hom(X, unit)",
         )
 
-    emit(
-        "sgd.diagnose",
-        {"provider": prov.name, "nmax": nmax, "homdim": prov.hom_dim},
-        compute,
-        as_json,
-    )
+    emit(compute, as_json)
 
 
 if __name__ == "__main__":

@@ -2,15 +2,15 @@
 
 A LengthProvider supplies the exact length of the n-th symmetric power of
 some object; the estimator samples cumulative lengths at powers of two
-and realizes the limsup as a tail fit.  Classification thresholds are
-configurable and deliberately conservative: the estimator reports
+and realizes the limsup as a tail fit.  The classification thresholds
+are module constants, deliberately conservative: the estimator reports
 diagnostics rather than silently assuming the limit exists.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .characters import Basis, decompose, weyl_char
@@ -154,14 +154,11 @@ def csv_provider(path: str, name: str | None = None) -> LengthProvider:
 # -- estimator ------------------------------------------------------------
 
 
-@dataclass
-class SgdConfig:
-    """Classification thresholds; defaults separate the shipped providers."""
-
-    tail_points: int = 5
-    exp_ratio_tol: float = 1e-3
-    ratio_decay: float = 0.8
-    slope_drift: float = 0.05
+# Classification thresholds; these values separate the shipped providers.
+TAIL_POINTS = 5
+EXP_RATIO_TOL = 1e-3
+RATIO_DECAY = 0.8
+SLOPE_DRIFT = 0.05
 
 
 @dataclass
@@ -173,9 +170,7 @@ class GrowthEstimate:
     diagnostics: str = ""
 
 
-def sgd_estimate(
-    provider: LengthProvider, n_max: int, config: SgdConfig | None = None
-) -> GrowthEstimate:
+def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
     """Estimate the symmetric growth dimension from cumulative lengths.
 
     Samples s_n = sum_{i<=n} ell(Sym^i) at n = 2^k up to n_max; the
@@ -185,7 +180,6 @@ def sgd_estimate(
     """
     if n_max < 16:
         raise ValueError("n_max must be >= 16")
-    cfg = config or SgdConfig()
     sample_ns = []
     n = 4
     while n <= n_max:
@@ -206,7 +200,7 @@ def sgd_estimate(
             samples.append((i, cumulative, log_big(cumulative) / math.log(i)))
             idx += 1
 
-    tail = samples[-cfg.tail_points :]
+    tail = samples[-TAIL_POINTS:]
     xs = [1.0 / math.log(s[0]) for s in tail]
     ys = [s[2] for s in tail]
     k = len(xs)
@@ -227,13 +221,13 @@ def sgd_estimate(
     misfit = max(abs(y - (slope * x + final)) for x, y in zip(xs, ys))
 
     if (
-        r_last > 1.0 + cfg.exp_ratio_tol
+        r_last > 1.0 + EXP_RATIO_TOL
         and r_prev > 1.0
-        and math.log(r_last) >= cfg.ratio_decay * math.log(r_prev)
+        and math.log(r_last) >= RATIO_DECAY * math.log(r_prev)
     ):
         # the growth ratio is bounded away from 1 and not decaying
         classification, degree = "exponential", None
-    elif misfit > cfg.slope_drift:
+    elif misfit > SLOPE_DRIFT:
         # estimates keep drifting away from any polynomial tail model
         classification, degree = "superpolynomial", None
     else:
@@ -262,9 +256,7 @@ class MnReport:
     equality_verdict: str  # "Holds", "StrictGap", "Inconclusive"
 
 
-def mn_diagnostic(
-    provider: LengthProvider, n_max: int, config: SgdConfig | None = None
-) -> MnReport:
+def mn_diagnostic(provider: LengthProvider, n_max: int) -> MnReport:
     """Check dim Hom(X,1) <= sgd(X) and test for equality within tolerance.
 
     Equality is the maximal-nilpotence diagnostic: categories where it
@@ -272,7 +264,7 @@ def mn_diagnostic(
     """
     if provider.hom_dim is None:
         raise MissingHomDim(f"provider {provider.name} has no hom_dim")
-    est = sgd_estimate(provider, n_max, config)
+    est = sgd_estimate(provider, n_max)
     hd = provider.hom_dim
     inequality_ok = est.final >= hd - 0.05
     if abs(est.final - hd) <= 0.05:

@@ -269,6 +269,8 @@ def frobenius_palindromy_check(p: int, hs: list[int] | tuple[int, ...], d: int) 
     coefficients must satisfy hs[i] = hs[d-i] * hs[d] mod p, with
     hs[d] = +-1 (the top power is invertible).
     """
+    if d < 0:
+        raise ValueError(f"top degree d = {d} must be non-negative")
     hs = [c % p for c in hs]
     if len(hs) != d + 1:
         raise ValueError(f"expected {d + 1} coefficients, got {len(hs)}")

@@ -8,9 +8,8 @@ predicate m >= p^n - 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .characters import Basis, Character, decompose, weyl_char
+from .characters import Basis, Character, Decomposition, decompose, weyl_char
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,25 +34,9 @@ def tilting_char(p: int, m: int) -> Character:
     return tilting_char(p, m0) * tilting_char(p, m1).frobenius_twist(p)
 
 
-@dataclass
-class TiltDecomposition:
-    """Multiplicities of indecomposable tiltings in a tensor product."""
-
-    p: int
-    terms: dict[int, int]
-
-    def reconstruct(self) -> Character:
-        out = Character()
-        for m, mult in self.terms.items():
-            out = out + tilting_char(self.p, m).scale(mult)
-        return out
-
-
-def tensor_decompose_tilt(p: int, a: int, b: int) -> TiltDecomposition:
+def tensor_decompose_tilt(p: int, a: int, b: int) -> Decomposition:
     """Decompose T_a (x) T_b into indecomposable tilting modules."""
-    prod = tilting_char(p, a) * tilting_char(p, b)
-    dec = decompose(prod, Basis.TILTING, p)
-    return TiltDecomposition(p, dec.terms)
+    return decompose(tilting_char(p, a) * tilting_char(p, b), Basis.TILTING, p)
 
 
 def is_negligible(p: int, n: int, m: int) -> bool:

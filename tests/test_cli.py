@@ -30,9 +30,12 @@ def payload(result):
     return json.loads(result.output)
 
 
-def run_process(*args, timeout=10):
-    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``."""
-    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+def run_process(*args, timeout=10, **env):
+    """Run the CLI in a fresh interpreter; a hang fails the test at ``timeout``.
+
+    Keyword arguments are extra environment variables.
+    """
+    env = {**os.environ, "PYTHONPATH": SRC_DIR, **env}
     return subprocess.run(
         [sys.executable, "-m", "verlab.cli", *args],
         capture_output=True, text=True, env=env, timeout=timeout,
@@ -110,10 +113,50 @@ class TestErrors:
         jsonschema.validate(out, schema)
         assert out["error"]["name"] == "InvalidInput"
 
+    @pytest.mark.parametrize("args, env", [
+        (("char", "mul", "--a", "{bad", "--b", "{}"), {}),
+        (("char", "mul", "--a", "[1]", "--b", "{}"), {}),
+        (("char", "decompose", "--char", "notjson", "--basis", "weyl"), {}),
+        (("padic", "recover", "-p", "2", "--series", '"x"'), {}),
+        (("padic", "palindrome", "-p", "3", "--series", '{"a":1}'), {}),
+        (("verpn", "product", "-p", "3", "-n", "2", "--digits", "1,x"), {}),
+        (("sgd", "estimate", "--provider", "csv", "--csv", "{missing}", "--nmax", "16"), {}),
+        (("padic", "pow", "-p", "2", "--exp", "3"), {"VERLAB_PREC": "abc"}),
+    ])
+    def test_malformed_input_exit_2(self, args, env, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        res = run_process(*(a.replace("{missing}", missing) for a in args), **env)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stdout + res.stderr
+        assert "Error: Invalid value" in res.stderr
+
+    def test_palindrome_empty_series_exit_1(self, schema):
+        res = run_process("padic", "palindrome", "-p", "3", "--series", "[]")
+        assert res.returncode == 1
+        assert "Traceback" not in res.stdout + res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "InvalidInput"
+        assert out["inputs"] == {"p": 3, "series": []}
+
     def test_help_exit_0(self):
         res = invoke("--help")
         assert res.exit_code == 0
         assert "Usage" in res.output
+
+
+class TestCharCommands:
+    @pytest.mark.parametrize("a, b", [
+        ({"1": 1}, {"2": 1, "0": 1}),
+        ({"weights": {"1": 1}}, {"weights": {"2": 1, "0": 1}}),
+    ])
+    def test_mul_echoes_decoded_maps(self, a, b):
+        res = invoke("char", "mul", "--a", json.dumps(a), "--b", json.dumps(b))
+        assert res.exit_code == 0
+        out = payload(res)
+        assert out["command"] == "char.mul"
+        assert out["inputs"] == {"a": a, "b": b}
+        assert out["result"] == {"weights": {"1": 2, "3": 1}}
 
 
 class TestSchemaAndDeterminism:

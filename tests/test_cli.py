@@ -14,6 +14,7 @@ import verlab
 from verlab.cli import main
 
 SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
+MISSING_CSV = str(Path(SRC_DIR) / "no-such-lengths.csv")
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +121,11 @@ class TestErrors:
         (("padic", "recover", "-p", "2", "--series", '"x"'), {}),
         (("padic", "palindrome", "-p", "3", "--series", '{"a":1}'), {}),
         (("verpn", "product", "-p", "3", "-n", "2", "--digits", "1,x"), {}),
-        (("sgd", "estimate", "--provider", "csv", "--csv", "{missing}", "--nmax", "16"), {}),
+        (("sgd", "estimate", "--provider", "csv", "--csv", MISSING_CSV, "--nmax", "16"), {}),
         (("padic", "pow", "-p", "2", "--exp", "3"), {"VERLAB_PREC": "abc"}),
     ])
-    def test_malformed_input_exit_2(self, args, env, tmp_path):
-        missing = str(tmp_path / "missing.csv")
-        res = run_process(*(a.replace("{missing}", missing) for a in args), **env)
+    def test_malformed_input_exit_2(self, args, env):
+        res = run_process(*args, **env)
         assert res.returncode == 2
         assert "Traceback" not in res.stdout + res.stderr
         assert "Error: Invalid value" in res.stderr

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
-from .errors import NegativeCoefficient
+from .errors import NegativeCoefficient, require_prime
 
 
 class Basis(Enum):
@@ -156,8 +156,7 @@ def weyl_char(m: int) -> Character:
 
 def base_p_digits(m: int, p: int) -> list[int]:
     """Base-p digits of m, least significant first; [0] for m = 0."""
-    if p < 2:
-        raise ValueError(f"p = {p} must be at least 2")
+    require_prime(p)
     if m == 0:
         return [0]
     digits = []

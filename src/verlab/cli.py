@@ -1,13 +1,18 @@
 """Command-line front door: every operation, machine-readable output.
 
-JSON is the default output format; ``--text`` renders small human-readable
-tables.  Click parses every option, so malformed input is a usage error
-(exit 2); domain errors exit 1 with a machine-readable error object.  The
-truncation for series commands defaults to 64 and can be overridden by
+Each command is registered with ``@command(group, name, provenance)``; its
+body takes the parsed options and returns the result.  The helper adds
+``--json/--text`` (JSON is the default; ``--text`` prints one
+human-readable line), checks that ``-p``, when given, is prime, and builds
+every ``{command, inputs, result | error}`` envelope.  Click parses every
+option, so malformed input is a usage error (exit 2); domain errors, a
+non-prime ``-p`` among them, exit 1 with a machine-readable error object.
+The truncation for series commands defaults to 64 and can be overridden by
 ``--prec`` or the VERLAB_PREC environment variable.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from typing import Any, Callable
@@ -15,7 +20,7 @@ from typing import Any, Callable
 import click
 
 from . import characters, fusion, growth, padic, tilting, verpn
-from .errors import VerlabError
+from .errors import VerlabError, require_prime
 
 
 def _is_weight_map(data: Any) -> bool:
@@ -79,45 +84,46 @@ def _render_series(s: padic.FpSeries) -> dict:
     return {"p": s.p, "coeffs": list(s.coeffs), "truncation": s.truncation}
 
 
-def emit(compute: Callable[[], tuple[Any, str]], as_json: bool) -> None:
-    """Run a command body and print a stable payload; exit 1 on domain error.
+def command(group: click.Group, name: str, provenance: str) -> Callable:
+    """Register the decorated body as ``group name`` inside the output envelope.
 
-    The command name and the inputs come from click's context: the group
-    and command names, and every parsed option except the output format.
+    The body takes the parsed options and returns the result.  The helper
+    adds ``--json/--text``, checks that ``-p``, when given, is prime, and
+    prints ``{command, inputs, result, provenance}``; a domain error prints
+    ``{command, inputs, error}`` and exits 1.  ``inputs`` are the parsed
+    options.
     """
-    ctx = click.get_current_context()
-    command = f"{ctx.parent.info_name}.{ctx.info_name}"
-    inputs = {k: v for k, v in ctx.params.items() if k != "as_json"}
-    try:
-        result, provenance = compute()
-    except (VerlabError, ValueError) as exc:
-        name = exc.name if isinstance(exc, VerlabError) else "InvalidInput"
-        payload = {
-            "command": command,
-            "inputs": inputs,
-            "error": {"name": name, "message": str(exc)},
-        }
-        click.echo(json.dumps(payload, sort_keys=True))
-        sys.exit(1)
-    if as_json:
-        payload = {
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-            "provenance": provenance,
-        }
-        click.echo(json.dumps(payload, sort_keys=True))
-    else:
-        click.echo(f"{command}: {json.dumps(result, sort_keys=True)}")
 
+    def register(body: Callable[..., Any]) -> click.Command:
+        @functools.wraps(body)
+        def run(as_json: bool, **inputs: Any) -> None:
+            payload = {"command": f"{group.name}.{name}", "inputs": inputs}
+            try:
+                if inputs.get("p") is not None:
+                    require_prime(inputs["p"])
+                payload.update(result=body(**inputs), provenance=provenance)
+            except (VerlabError, ValueError) as exc:
+                error = exc.name if isinstance(exc, VerlabError) else "InvalidInput"
+                payload["error"] = {"name": error, "message": str(exc)}
+                click.echo(json.dumps(payload, sort_keys=True))
+                sys.exit(1)
+            if as_json:
+                click.echo(json.dumps(payload, sort_keys=True))
+            else:
+                result = json.dumps(payload["result"], sort_keys=True)
+                click.echo(f"{payload['command']}: {result}")
 
-def format_flag(f: Callable) -> Callable:
-    return click.option(
-        "--json/--text",
-        "as_json",
-        default=True,
-        help="machine-readable JSON (default) or a human-readable line",
-    )(f)
+        cmd = group.command(name)(run)
+        cmd.params.append(
+            click.Option(
+                ["--json/--text", "as_json"],
+                default=True,
+                help="machine-readable JSON (default) or a human-readable line",
+            )
+        )
+        return cmd
+
+    return register
 
 
 @click.group()
@@ -133,61 +139,36 @@ def char() -> None:
     """SL2 character-ring operations."""
 
 
-@char.command("weyl")
+@command(char, "weyl", "quantum integer [m+1]_q")
 @click.option("-m", type=int, required=True)
-@format_flag
-def char_weyl(m: int, as_json: bool) -> None:
-    emit(
-        lambda: (_render_character(characters.weyl_char(m)), "quantum integer [m+1]_q"),
-        as_json,
-    )
+def char_weyl(m: int) -> dict:
+    return _render_character(characters.weyl_char(m))
 
 
-@char.command("simple")
+@command(char, "simple", "Steinberg digit factorization")
 @click.option("-p", type=int, required=True)
 @click.option("-m", type=int, required=True)
-@format_flag
-def char_simple(p: int, m: int, as_json: bool) -> None:
-    emit(
-        lambda: (
-            _render_character(characters.simple_char(p, m)),
-            "Steinberg digit factorization",
-        ),
-        as_json,
-    )
+def char_simple(p: int, m: int) -> dict:
+    return _render_character(characters.simple_char(p, m))
 
 
-@char.command("tilt")
+@command(char, "tilt", "tilting character recursion")
 @click.option("-p", type=int, required=True)
 @click.option("-m", type=int, required=True)
-@format_flag
-def char_tilt(p: int, m: int, as_json: bool) -> None:
-    emit(
-        lambda: (
-            _render_character(tilting.tilting_char(p, m)),
-            "tilting character recursion",
-        ),
-        as_json,
-    )
+def char_tilt(p: int, m: int) -> dict:
+    return _render_character(tilting.tilting_char(p, m))
 
 
-@char.command("mul")
+@command(char, "mul", "Laurent convolution, refolded")
 @click.option(
     "--a", required=True, callback=_weight_map_option, help='folded weight map, e.g. {"1": 1}'
 )
 @click.option("--b", required=True, callback=_weight_map_option)
-@format_flag
-def char_mul(a: dict, b: dict, as_json: bool) -> None:
-    emit(
-        lambda: (
-            _render_character(_parse_character(a) * _parse_character(b)),
-            "Laurent convolution, refolded",
-        ),
-        as_json,
-    )
+def char_mul(a: dict, b: dict) -> dict:
+    return _render_character(_parse_character(a) * _parse_character(b))
 
 
-@char.command("decompose")
+@command(char, "decompose", "greedy unitriangular peeling")
 @click.option("--char", required=True, callback=_weight_map_option, help="folded weight map")
 @click.option(
     "--basis",
@@ -195,16 +176,9 @@ def char_mul(a: dict, b: dict, as_json: bool) -> None:
     required=True,
 )
 @click.option("-p", type=int, default=None)
-@format_flag
-def char_decompose(char: dict, basis: str, p: int | None, as_json: bool) -> None:
-    def compute():
-        dec = characters.decompose(_parse_character(char), characters.Basis(basis), p)
-        return (
-            {"terms": {str(m): mult for m, mult in sorted(dec.terms.items())}},
-            "greedy unitriangular peeling",
-        )
-
-    emit(compute, as_json)
+def char_decompose(char: dict, basis: str, p: int | None) -> dict:
+    dec = characters.decompose(_parse_character(char), characters.Basis(basis), p)
+    return {"terms": {str(m): mult for m, mult in sorted(dec.terms.items())}}
 
 
 # -- tilt -----------------------------------------------------------------
@@ -215,20 +189,13 @@ def tilt_group() -> None:
     """Tilting tensor-product decompositions."""
 
 
-@tilt_group.command("fuse-decompose")
+@command(tilt_group, "fuse-decompose", "character decomposition in the tilting basis")
 @click.option("-p", type=int, required=True)
 @click.option("-a", type=int, required=True)
 @click.option("-b", type=int, required=True)
-@format_flag
-def tilt_fuse_decompose(p: int, a: int, b: int, as_json: bool) -> None:
-    def compute():
-        dec = tilting.tensor_decompose_tilt(p, a, b)
-        return (
-            [{"T": m, "mult": mult} for m, mult in sorted(dec.terms.items())],
-            "character decomposition in the tilting basis",
-        )
-
-    emit(compute, as_json)
+def tilt_fuse_decompose(p: int, a: int, b: int) -> list:
+    dec = tilting.tensor_decompose_tilt(p, a, b)
+    return [{"T": m, "mult": mult} for m, mult in sorted(dec.terms.items())]
 
 
 # -- verp -----------------------------------------------------------------
@@ -239,60 +206,37 @@ def verp() -> None:
     """Level-p fusion ring operations."""
 
 
-@verp.command("fuse")
+@command(verp, "fuse", "tilting quotient: decompose, drop negligibles")
 @click.option("-p", type=int, required=True)
 @click.option("-a", type=int, required=True)
 @click.option("-b", type=int, required=True)
-@format_flag
-def verp_fuse(p: int, a: int, b: int, as_json: bool) -> None:
-    def compute():
-        el = fusion.fuse(p, a, b)
-        return (
-            [{"L": i, "mult": m} for i, m in sorted(el.mults.items())],
-            "tilting quotient: decompose, drop negligibles",
-        )
-
-    emit(compute, as_json)
+def verp_fuse(p: int, a: int, b: int) -> list:
+    return [{"L": i, "mult": m} for i, m in sorted(fusion.fuse(p, a, b).mults.items())]
 
 
-@verp.command("oracle")
+@command(verp, "oracle", "numeric S-matrix sum")
 @click.option("-p", type=int, required=True)
 @click.option("-a", type=int, required=True)
 @click.option("-b", type=int, required=True)
 @click.option("-c", type=int, required=True)
-@format_flag
-def verp_oracle(p: int, a: int, b: int, c: int, as_json: bool) -> None:
-    emit(
-        lambda: (fusion.verlinde_oracle(p, a, b, c), "numeric S-matrix sum"),
-        as_json,
-    )
+def verp_oracle(p: int, a: int, b: int, c: int) -> int:
+    return fusion.verlinde_oracle(p, a, b, c)
 
 
-@verp.command("fpdim")
+@command(verp, "fpdim", "Collatz-Wielandt certificate of [a+1]_q")
 @click.option("-p", type=int, required=True)
 @click.option("-a", type=int, required=True)
-@format_flag
-def verp_fpdim(p: int, a: int, as_json: bool) -> None:
-    emit(
-        lambda: (fusion.fpdim(p, a), "Collatz-Wielandt certificate of [a+1]_q"),
-        as_json,
-    )
+def verp_fpdim(p: int, a: int) -> float:
+    return fusion.fpdim(p, a)
 
 
-@verp.command("gd")
+@command(verp, "gd", "exact iterated fusion lengths")
 @click.option("-p", type=int, required=True)
 @click.option("-a", type=int, required=True, help="simple index to iterate")
 @click.option("--nmax", type=int, default=40)
-@format_flag
-def verp_gd(p: int, a: int, nmax: int, as_json: bool) -> None:
-    def compute():
-        est = fusion.gd_estimate(p, fusion.FusionElement.simple(p, a), nmax)
-        return (
-            {"roots": est.roots, "final": est.final},
-            "exact iterated fusion lengths",
-        )
-
-    emit(compute, as_json)
+def verp_gd(p: int, a: int, nmax: int) -> dict:
+    est = fusion.gd_estimate(p, fusion.FusionElement.simple(p, a), nmax)
+    return {"roots": est.roots, "final": est.final}
 
 
 # -- verpn ----------------------------------------------------------------
@@ -303,66 +247,49 @@ def verpn_group() -> None:
     """Level-p^n simple-object calculus."""
 
 
-@verpn_group.command("digits")
+@command(verpn_group, "digits", "base-p expansion")
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
 @click.option("-i", type=int, required=True)
-@format_flag
-def verpn_digits(p: int, n: int, i: int, as_json: bool) -> None:
-    emit(lambda: (list(verpn.steinberg_digits(p, n, i)), "base-p expansion"), as_json)
+def verpn_digits(p: int, n: int, i: int) -> list:
+    return list(verpn.steinberg_digits(p, n, i))
 
 
-@verpn_group.command("product")
+@command(verpn_group, "product", "Steinberg tensor product")
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
 @click.option("--digits", required=True, callback=_int_list_option, help="comma-separated")
-@format_flag
-def verpn_product(p: int, n: int, digits: list[int], as_json: bool) -> None:
-    emit(
-        lambda: (
-            verpn.steinberg_product(p, n, digits).index,
-            "Steinberg tensor product",
-        ),
-        as_json,
-    )
+def verpn_product(p: int, n: int, digits: list[int]) -> int:
+    return verpn.steinberg_product(p, n, digits).index
 
 
-@verpn_group.command("embed")
+@command(verpn_group, "embed", "index multiplies by p one level up")
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
 @click.option("-i", type=int, required=True)
-@format_flag
-def verpn_embed(p: int, n: int, i: int, as_json: bool) -> None:
-    emit(lambda: (verpn.embed(p, n, i), "index multiplies by p one level up"), as_json)
+def verpn_embed(p: int, n: int, i: int) -> int:
+    return verpn.embed(p, n, i)
 
 
-@verpn_group.command("oddline")
+@command(verpn_group, "oddline", "index p^(n-1)(p-2)")
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
-@format_flag
-def verpn_oddline(p: int, n: int, as_json: bool) -> None:
-    emit(lambda: (verpn.odd_line(p, n), "index p^(n-1)(p-2)"), as_json)
+def verpn_oddline(p: int, n: int) -> int:
+    return verpn.odd_line(p, n)
 
 
-@verpn_group.command("sympower")
+@command(verpn_group, "sympower", "symmetric-power knowledge base")
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
 @click.option("-i", type=int, required=True)
 @click.option("-k", type=int, required=True)
-@format_flag
-def verpn_sympower(p: int, n: int, i: int, k: int, as_json: bool) -> None:
-    def compute():
-        st = verpn.sym_power_status(p, n, i, k)
-        return (
-            {
-                "status": st.status.value,
-                "rule": st.rule,
-                "has_unit_summand": st.has_unit_summand,
-            },
-            "symmetric-power knowledge base",
-        )
-
-    emit(compute, as_json)
+def verpn_sympower(p: int, n: int, i: int, k: int) -> dict:
+    st = verpn.sym_power_status(p, n, i, k)
+    return {
+        "status": st.status.value,
+        "rule": st.rule,
+        "has_unit_summand": st.has_unit_summand,
+    }
 
 
 # -- padic ----------------------------------------------------------------
@@ -373,7 +300,7 @@ def padic_group() -> None:
     """F_p series and p-adic dimension arithmetic."""
 
 
-@padic_group.command("pow")
+@command(padic_group, "pow", "digit product expansion of (1-t)^d")
 @click.option("-p", type=int, required=True)
 @click.option("--exp", type=int, required=True, help="integer exponent d")
 @click.option(
@@ -383,79 +310,44 @@ def padic_group() -> None:
     envvar="VERLAB_PREC",
     help="series truncation N",
 )
-@format_flag
-def padic_pow(p: int, exp: int, prec: int, as_json: bool) -> None:
-    emit(
-        lambda: (
-            _render_series(padic.one_minus_t_pow_int(exp, p, prec)),
-            "digit product expansion of (1-t)^d",
-        ),
-        as_json,
-    )
+def padic_pow(p: int, exp: int, prec: int) -> dict:
+    return _render_series(padic.one_minus_t_pow_int(exp, p, prec))
 
 
-@padic_group.command("recover")
+@command(padic_group, "recover", "digit-read recovery with a divisibility certificate per level")
 @click.option("-p", type=int, required=True)
 @click.option(
     "--series", required=True, callback=_int_array_option, help="JSON array of residues"
 )
-@format_flag
-def padic_recover(p: int, series: list[int], as_json: bool) -> None:
-    def compute():
-        e = padic.dimplus_from_series(padic.FpSeries(p, tuple(series)))
-        return (
-            {"exponent": _render_padic(e), "dimplus": _render_padic(padic.padic_neg(e))},
-            "digit-read recovery with a divisibility certificate per level",
-        )
-
-    emit(compute, as_json)
+def padic_recover(p: int, series: list[int]) -> dict:
+    e = padic.dimplus_from_series(padic.FpSeries(p, tuple(series)))
+    return {"exponent": _render_padic(e), "dimplus": _render_padic(padic.padic_neg(e))}
 
 
-@padic_group.command("finite")
+@command(padic_group, "finite", "finite symmetric algebra rule")
 @click.option("--top", type=int, required=True, help="top nonvanishing symmetric power")
 @click.option("-p", type=int, default=None)
-@format_flag
-def padic_finite(top: int, p: int | None, as_json: bool) -> None:
-    emit(
-        lambda: (
-            {"dimplus": padic.dimplus_of_finite_sym(top, p)},
-            "finite symmetric algebra rule",
-        ),
-        as_json,
-    )
+def padic_finite(top: int, p: int | None) -> dict:
+    return {"dimplus": padic.dimplus_of_finite_sym(top, p)}
 
 
-@padic_group.command("extend")
+@command(padic_group, "extend", "extension transform: shift by 1-nlen and by 1")
 @click.option("-p", type=int, required=True)
 @click.option("--nlen", type=int, required=True)
 @click.option("--dimv", type=int, required=True)
 @click.option("--dimvdual", type=int, required=True)
-@format_flag
-def padic_extend(p: int, nlen: int, dimv: int, dimvdual: int, as_json: bool) -> None:
-    def compute():
-        de, ded = padic.extension_transform(p, nlen, dimv, dimvdual)
-        return (
-            {"dimplus_e": de, "dimplus_e_dual": ded},
-            "extension transform: shift by 1-nlen and by 1",
-        )
-
-    emit(compute, as_json)
+def padic_extend(p: int, nlen: int, dimv: int, dimvdual: int) -> dict:
+    de, ded = padic.extension_transform(p, nlen, dimv, dimvdual)
+    return {"dimplus_e": de, "dimplus_e_dual": ded}
 
 
-@padic_group.command("palindrome")
+@command(padic_group, "palindrome", "twisted palindromy of a finite Hilbert series")
 @click.option("-p", type=int, required=True)
 @click.option(
     "--series", required=True, callback=_int_array_option, help="JSON array, length d+1"
 )
-@format_flag
-def padic_palindrome(p: int, series: list[int], as_json: bool) -> None:
-    emit(
-        lambda: (
-            padic.frobenius_palindromy_check(p, series, len(series) - 1),
-            "twisted palindromy of a finite Hilbert series",
-        ),
-        as_json,
-    )
+def padic_palindrome(p: int, series: list[int]) -> bool:
+    return padic.frobenius_palindromy_check(p, series, len(series) - 1)
 
 
 # -- sgd ------------------------------------------------------------------
@@ -507,35 +399,26 @@ def _with_provider_options(f: Callable) -> Callable:
     return f
 
 
-@sgd_group.command("estimate")
+@command(sgd_group, "estimate", "tail fit of cumulative symmetric lengths at powers of two")
 @_with_provider_options
-@format_flag
 def sgd_estimate_cmd(
-    provider: str, p: int | None, m: int | None, csv_path: str | None, nmax: int, as_json: bool
-) -> None:
-    def compute():
-        est = growth.sgd_estimate(_build_provider(provider, p, m, csv_path), nmax)
-        return (
-            {
-                "samples": [
-                    {"n": n, "cumulative": str(s), "estimate": e}
-                    for n, s, e in est.samples
-                ],
-                "final": est.final,
-                "classification": est.classification,
-                "degree": est.degree,
-                "diagnostics": est.diagnostics,
-            },
-            "tail fit of cumulative symmetric lengths at powers of two",
-        )
-
-    emit(compute, as_json)
+    provider: str, p: int | None, m: int | None, csv_path: str | None, nmax: int
+) -> dict:
+    est = growth.sgd_estimate(_build_provider(provider, p, m, csv_path), nmax)
+    return {
+        "samples": [
+            {"n": n, "cumulative": str(s), "estimate": e} for n, s, e in est.samples
+        ],
+        "final": est.final,
+        "classification": est.classification,
+        "degree": est.degree,
+        "diagnostics": est.diagnostics,
+    }
 
 
-@sgd_group.command("diagnose")
+@command(sgd_group, "diagnose", "growth estimate vs dim Hom(X, unit)")
 @_with_provider_options
 @click.option("--homdim", type=int, default=None, help="override the provider hom_dim")
-@format_flag
 def sgd_diagnose_cmd(
     provider: str,
     p: int | None,
@@ -543,25 +426,18 @@ def sgd_diagnose_cmd(
     csv_path: str | None,
     nmax: int,
     homdim: int | None,
-    as_json: bool,
-) -> None:
-    def compute():
-        prov = _build_provider(provider, p, m, csv_path)
-        if homdim is not None:
-            prov.hom_dim = homdim
-        report = growth.mn_diagnostic(prov, nmax)
-        return (
-            {
-                "sgd_estimate": report.estimate.final,
-                "classification": report.estimate.classification,
-                "hom_dim": report.hom_dim,
-                "inequality_ok": report.inequality_ok,
-                "equality_verdict": report.equality_verdict,
-            },
-            "growth estimate vs dim Hom(X, unit)",
-        )
-
-    emit(compute, as_json)
+) -> dict:
+    prov = _build_provider(provider, p, m, csv_path)
+    if homdim is not None:
+        prov.hom_dim = homdim
+    report = growth.mn_diagnostic(prov, nmax)
+    return {
+        "sgd_estimate": report.estimate.final,
+        "classification": report.estimate.classification,
+        "hom_dim": report.hom_dim,
+        "inequality_ok": report.inequality_ok,
+        "equality_verdict": report.equality_verdict,
+    }
 
 
 if __name__ == "__main__":

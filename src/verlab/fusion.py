@@ -25,14 +25,13 @@ class FusionElement:
 
     def __init__(self, p: int, mults: dict[int, int] | None = None):
         self.p = p
-        clean: dict[int, int] = {}
-        for i, m in (mults or {}).items():
-            check_index(p, 1, i)
-            if m < 0:
-                raise ValueError("multiplicities must be non-negative")
-            if m:
-                clean[int(i)] = int(m)
-        self._mults = clean
+        mults = mults or {}
+        if mults:
+            check_index(p, 1, min(mults))
+            check_index(p, 1, max(mults))
+        if any(m < 0 for m in mults.values()):
+            raise ValueError("multiplicities must be non-negative")
+        self._mults = {int(i): int(m) for i, m in mults.items() if m}
 
     @classmethod
     def simple(cls, p: int, a: int) -> "FusionElement":

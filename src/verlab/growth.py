@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .characters import Basis, decompose, weyl_char
-from .errors import MissingHomDim
+from .errors import MissingHomDim, require_prime
 
 
 def log_big(n: int) -> float:
@@ -50,12 +50,11 @@ def nabla_length(p: int, m: int) -> int:
     simples simple.  The test suite checks the recursion against
     ``nabla_length_by_decomposition``.
     """
-    if p < 2:
-        raise ValueError(f"p = {p} must be at least 2")
     if m < 0:
         raise ValueError("highest weight must be non-negative")
     table = _LENGTHS.get(p)
     if table is None:
+        require_prime(p)
         table = _LENGTHS[p] = {0: 1, -1: 0}
     return _nabla_length(table, p, m)
 
@@ -140,7 +139,11 @@ def csv_provider(path: str, name: str | None = None) -> LengthProvider:
     """Load a provider from a CSV with header ``n,length``."""
     table: dict[int, int] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.DictReader(fh, restval="")
+        for column in ("n", "length"):
+            if column not in (rows.fieldnames or ()):
+                raise ValueError(f"CSV {path} has no {column!r} column")
+        for row in rows:
             table[int(row["n"])] = int(row["length"])
 
     def length(n: int) -> int:

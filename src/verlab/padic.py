@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower
+from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower, require_prime
 
 DEFAULT_TRUNCATION = 64
 
@@ -83,8 +83,7 @@ class FpSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"p = {self.p} must be at least 2")
+        require_prime(self.p)
         object.__setattr__(
             self, "coeffs", tuple(c % self.p for c in self.coeffs)
         )
@@ -161,8 +160,7 @@ def one_minus_t_pow_int(x: int, p: int, n: int | None = None) -> FpSeries:
 
 def recoverable_digits(p: int, n: int) -> int:
     """Number of p-adic digits determined by a series truncated at t^N."""
-    if p < 2:
-        raise ValueError(f"p = {p} must be at least 2")
+    require_prime(p)
     m = 1
     while p**m <= n:
         m += 1
@@ -215,6 +213,7 @@ def dimplus_of_finite_sym(dmax: int, p: int | None = None) -> int:
 
 
 def is_p_power(x: int, p: int) -> bool:
+    require_prime(p)
     if x < 1:
         return False
     while x % p == 0:
@@ -269,6 +268,7 @@ def frobenius_palindromy_check(p: int, hs: list[int] | tuple[int, ...], d: int) 
     coefficients must satisfy hs[i] = hs[d-i] * hs[d] mod p, with
     hs[d] = +-1 (the top power is invertible).
     """
+    require_prime(p)
     if d < 0:
         raise ValueError(f"top degree d = {d} must be non-negative")
     hs = [c % p for c in hs]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 
 from .characters import Basis, Character, Decomposition, decompose, weyl_char
+from .errors import require_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -21,8 +22,7 @@ def tilting_char(p: int, m: int) -> Character:
     m = m0 + p*m1 with the unique m0 in [p-1, 2p-2] and multiply T_{m0}
     by the Frobenius twist of T_{m1}.
     """
-    if p < 2:
-        raise ValueError(f"p = {p} must be at least 2")
+    require_prime(p)
     if m < 0:
         raise ValueError("highest weight must be non-negative")
     if m <= p - 1:

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .errors import DigitOutOfRange, EvenPrime, IndexOutOfRange
+from .errors import DigitOutOfRange, EvenPrime, IndexOutOfRange, require_prime
 
 
 def max_index(p: int, n: int) -> int:
     """Largest simple index at level p^n: p^{n-1}(p-1) - 1."""
+    require_prime(p)
     if n < 1:
         raise ValueError("level exponent n must be >= 1")
     return p ** (n - 1) * (p - 1) - 1
@@ -81,6 +82,7 @@ def embed(p: int, n: int, i: int) -> int:
 
 def odd_line(p: int, n: int) -> int:
     """Index of the odd line generating sVec: p^{n-1}(p-2)."""
+    require_prime(p)
     if p == 2:
         raise EvenPrime("no odd line at p = 2")
     if n < 1:

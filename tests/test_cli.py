@@ -9,6 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verlab
 from verlab.cli import main
@@ -105,8 +107,29 @@ class TestErrors:
         ("char", "tilt", "-p", "1", "-m", "3"),
         ("char", "tilt", "-p", "0", "-m", "3"),
         ("padic", "recover", "-p", "0", "--series", "[1,1]"),
+        ("verpn", "oddline", "-p", "1", "-n", "2"),
+        ("padic", "extend", "-p", "1", "--nlen", "4", "--dimv", "1", "--dimvdual", "1"),
+        ("padic", "extend", "-p", "0", "--nlen", "4", "--dimv", "1", "--dimvdual", "1"),
+        ("padic", "palindrome", "-p", "0", "--series", "[1]"),
     ])
     def test_prime_below_two_exit_1(self, args, schema):
+        res = run_process(*args)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stdout + res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "InvalidInput"
+
+    @pytest.mark.parametrize("args", [
+        ("char", "simple", "-p", "4", "-m", "5"),
+        ("verp", "fuse", "-p", "4", "-a", "1", "-b", "1"),
+        ("padic", "pow", "-p", "4", "--exp", "3"),
+        ("sgd", "estimate", "--provider", "sl2_sym", "-p", "4", "--nmax", "64"),
+        ("verpn", "oddline", "-p", "9", "-n", "1"),
+        ("verp", "fpdim", "-p", "6", "-a", "1"),
+        ("char", "simple", "-p", str(10**30), "-m", "5"),
+    ])
+    def test_composite_p_exit_1(self, args, schema):
         res = run_process(*args)
         assert res.returncode == 1
         assert "Traceback" not in res.stdout + res.stderr
@@ -217,9 +240,104 @@ class TestSgdCommands:
         res = invoke("sgd", "estimate", "--provider", "binomial")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("text, missing", [
+        ("a,b\n1,2\n", "'n' column"),
+        ("n,width\n1,2\n", "'length' column"),
+        ("n,length\n1\n", "invalid literal"),
+    ])
+    def test_malformed_csv_exit_1(self, tmp_path, schema, text, missing):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        res = invoke("sgd", "estimate", "--provider", "csv", "--csv", str(path),
+                     "--nmax", "16")
+        assert res.exit_code == 1
+        out = payload(res)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "InvalidInput"
+        assert missing in out["error"]["message"]
+
     def test_csv(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("n,length\n" + "\n".join(f"{n},1" for n in range(300)))
         res = invoke("sgd", "estimate", "--provider", "csv", "--csv", str(path),
                      "--nmax", "256")
         assert payload(res)["result"]["classification"] == "polynomial"
+
+
+# -- every command group under bounded random inputs --------------------------
+
+P = st.integers(-2, 40)
+INDEX = st.integers(-1, 12)
+WEIGHT = st.integers(-2, 200)
+LEVEL = st.integers(-1, 4)
+NMAX = st.integers(-2, 256)
+WEIGHT_MAP = st.dictionaries(WEIGHT.map(str), st.integers(-3, 3), max_size=4).map(json.dumps)
+SERIES = st.lists(st.integers(-5, 5), max_size=12).map(json.dumps)
+DIGITS = st.lists(st.integers(-1, 40), min_size=1, max_size=4).map(
+    lambda ds: ",".join(map(str, ds))
+)
+PROVIDER = st.sampled_from(["binomial", "partitions", "sl2_sym", "constant", "csv"])
+
+
+def argv(words, *options):
+    """Strategy for ``words`` then each (flag, strategy) option; None leaves it out."""
+    values = st.tuples(*(strategy for _, strategy in options))
+    return values.map(lambda vals: words.split() + [
+        word
+        for (flag, _), v in zip(options, vals)
+        if v is not None
+        for word in (flag, str(v))
+    ])
+
+
+CLI_CALLS = st.one_of(
+    argv("char weyl", ("-m", WEIGHT)),
+    argv("char simple", ("-p", P), ("-m", WEIGHT)),
+    argv("char tilt", ("-p", P), ("-m", WEIGHT)),
+    argv("char mul", ("--a", WEIGHT_MAP), ("--b", WEIGHT_MAP)),
+    argv("char decompose", ("--char", WEIGHT_MAP),
+         ("--basis", st.sampled_from(["weyl", "simple", "tilting"])), ("-p", st.none() | P)),
+    argv("tilt fuse-decompose", ("-p", P), ("-a", WEIGHT), ("-b", WEIGHT)),
+    argv("verp fuse", ("-p", P), ("-a", INDEX), ("-b", INDEX)),
+    argv("verp oracle", ("-p", P), ("-a", INDEX), ("-b", INDEX), ("-c", INDEX)),
+    argv("verp fpdim", ("-p", P), ("-a", INDEX)),
+    argv("verp gd", ("-p", P), ("-a", INDEX), ("--nmax", NMAX)),
+    argv("verpn digits", ("-p", P), ("-n", LEVEL), ("-i", WEIGHT)),
+    argv("verpn product", ("-p", P), ("-n", LEVEL), ("--digits", DIGITS)),
+    argv("verpn embed", ("-p", P), ("-n", LEVEL), ("-i", WEIGHT)),
+    argv("verpn oddline", ("-p", P), ("-n", LEVEL)),
+    argv("verpn sympower", ("-p", P), ("-n", LEVEL), ("-i", WEIGHT), ("-k", WEIGHT)),
+    argv("padic pow", ("-p", P), ("--exp", st.integers(-10**6, 10**6)),
+         ("--prec", st.integers(-2, 200))),
+    argv("padic recover", ("-p", P), ("--series", SERIES)),
+    argv("padic finite", ("--top", WEIGHT), ("-p", st.none() | P)),
+    argv("padic extend", ("-p", P),
+         ("--nlen", st.integers(-2, 10**6) | st.sampled_from([2, 3, 4, 8, 9, 25])),
+         ("--dimv", WEIGHT), ("--dimvdual", WEIGHT)),
+    argv("padic palindrome", ("-p", P), ("--series", SERIES)),
+    argv("sgd estimate", ("--provider", PROVIDER), ("-p", st.none() | P),
+         ("--m", st.none() | st.integers(-2, 8)), ("--nmax", NMAX)),
+    argv("sgd diagnose", ("--provider", PROVIDER), ("-p", st.none() | P),
+         ("--m", st.none() | st.integers(-2, 8)), ("--nmax", NMAX),
+         ("--homdim", st.none() | st.integers(-2, 8))),
+)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=CLI_CALLS)
+def test_every_command_answers_or_reports(schema, args):
+    """Exit 0 with a result, exit 1 with the error envelope, or exit 2; never
+    an uncaught exception, and never an answer for a non-prime p."""
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code in (0, 1, 2), res.output
+    if res.exit_code == 2:
+        return
+    out = json.loads(res.stdout)
+    jsonschema.validate(out, schema)
+    assert ("result" if res.exit_code == 0 else "error") in out
+    if res.exit_code == 0 and "-p" in args:
+        assert is_prime(int(args[args.index("-p") + 1])), args

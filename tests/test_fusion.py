@@ -65,6 +65,17 @@ class TestOracleEquivalence:
         assert verlinde_oracle(5, 1, 3, 4) == 0
 
 
+class TestFusionElement:
+    @pytest.mark.parametrize("mults", [{-1: 1}, {4: 1}, {-1: 1, 2: 1}, {0: 1, 2: 1, 4: 0}])
+    def test_index_range(self, mults):
+        with pytest.raises(IndexOutOfRange):
+            FusionElement(5, mults)
+
+    def test_negative_multiplicity(self):
+        with pytest.raises(ValueError):
+            FusionElement(5, {0: 1, 2: -1})
+
+
 class TestRingAxioms:
     def test_commutative_associative(self):
         rng = random.Random(23)

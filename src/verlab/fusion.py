@@ -21,10 +21,10 @@ from .verpn import check_index
 class FusionElement:
     """Non-negative integer combination of the simples L_0..L_{p-2}."""
 
-    __slots__ = ("p", "_mults")
+    __slots__ = ("_p", "_mults")
 
     def __init__(self, p: int, mults: dict[int, int] | None = None):
-        self.p = p
+        self._p = p
         mults = mults or {}
         if mults:
             check_index(p, 1, min(mults))
@@ -36,6 +36,10 @@ class FusionElement:
     @classmethod
     def simple(cls, p: int, a: int) -> "FusionElement":
         return cls(p, {a: 1})
+
+    @property
+    def p(self) -> int:
+        return self._p
 
     @property
     def mults(self) -> dict[int, int]:
@@ -65,26 +69,22 @@ class FusionElement:
         out: dict[int, int] = {}
         for a, ma in self._mults.items():
             for b, mb in other._mults.items():
-                for c, n in fuse(self.p, a, b).mults.items():
+                for c, n in fuse(self._p, a, b)._mults.items():
                     out[c] = out.get(c, 0) + ma * mb * n
-        return FusionElement(self.p, out)
+        return FusionElement(self._p, out)
 
 
 @functools.lru_cache(maxsize=None)
-def _fuse_mults(p: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    dec = tensor_decompose_tilt(p, a, b)
-    return tuple(
-        (m, mult)
-        for m, mult in sorted(dec.terms.items())
-        if not is_negligible(p, 1, m)
-    )
-
-
 def fuse(p: int, a: int, b: int) -> FusionElement:
-    """Fusion product L_a (x) L_b via the tilting quotient."""
+    """Fusion product L_a (x) L_b via the tilting quotient.
+
+    Computed once per (p, a, b) and shared: every later call returns the
+    same element, which is read-only (``mults`` hands out a copy).
+    """
     check_index(p, 1, a)
     check_index(p, 1, b)
-    return FusionElement(p, dict(_fuse_mults(p, a, b)))
+    terms = sorted(tensor_decompose_tilt(p, a, b).terms.items())
+    return FusionElement(p, {m: n for m, n in terms if not is_negligible(p, 1, m)})
 
 
 def clebsch_gordan_truncated(p: int, a: int, b: int, c: int) -> int:
@@ -135,7 +135,7 @@ def fusion_matrix(p: int, a: int) -> list[list[int]]:
     check_index(p, 1, a)
     mat = [[0] * (p - 1) for _ in range(p - 1)]
     for b in range(p - 1):
-        for c, n in fuse(p, a, b).mults.items():
+        for c, n in fuse(p, a, b)._mults.items():
             mat[b][c] = n
     return mat
 

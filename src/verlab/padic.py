@@ -129,14 +129,14 @@ def _one_minus_tk_pow(p: int, n: int, k: int, e: int) -> FpSeries:
     return FpSeries(p, tuple(out))
 
 
-def one_minus_t_pow(d: PadicDigits, n: int | None = None) -> FpSeries:
+def one_minus_t_pow(d: PadicDigits, n: int = DEFAULT_TRUNCATION) -> FpSeries:
     """Digit-product expansion of (1-t)^d truncated at t^N.
 
     Factor j contributes only for p^j <= N; the precision must satisfy
     p^M > N so that all contributing digits are known.
     """
-    if n is None:
-        n = DEFAULT_TRUNCATION
+    if n < 0:
+        raise ValueError(f"truncation N = {n} must be >= 0")
     p = d.p
     if p**d.precision <= n:
         raise InsufficientPrecision(
@@ -151,10 +151,8 @@ def one_minus_t_pow(d: PadicDigits, n: int | None = None) -> FpSeries:
     return out
 
 
-def one_minus_t_pow_int(x: int, p: int, n: int | None = None) -> FpSeries:
+def one_minus_t_pow_int(x: int, p: int, n: int = DEFAULT_TRUNCATION) -> FpSeries:
     """(1-t)^x for an integer x, with precision chosen automatically."""
-    if n is None:
-        n = DEFAULT_TRUNCATION
     return one_minus_t_pow(padic_of_int(x, p, recoverable_digits(p, n)), n)
 
 

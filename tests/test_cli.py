@@ -87,6 +87,15 @@ class TestPadicCommands:
         )
         assert payload(res)["result"]["truncation"] == 10
 
+    @pytest.mark.parametrize("prec", ["-1", "-5"])
+    def test_negative_prec_exit_1(self, prec, schema):
+        res = run_process("padic", "pow", "-p", "3", "--exp", "2", "--prec", prec)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stdout + res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "InvalidInput"
+
 
 class TestErrors:
     def test_domain_error_exit_1(self):
@@ -341,3 +350,5 @@ def test_every_command_answers_or_reports(schema, args):
     assert ("result" if res.exit_code == 0 else "error") in out
     if res.exit_code == 0 and "-p" in args:
         assert is_prime(int(args[args.index("-p") + 1])), args
+    if res.exit_code == 0 and args[:2] == ["padic", "pow"]:
+        assert out["result"]["truncation"] == int(args[args.index("--prec") + 1]), args

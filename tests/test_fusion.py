@@ -43,6 +43,22 @@ class TestFuse:
                         assert abs(a - b) <= c <= min(a + b, 2 * (p - 2) - (a + b))
 
 
+class TestSharedFuse:
+    def test_same_object_per_triple(self):
+        assert fuse(7, 2, 3) is fuse(7, 2, 3)
+
+    def test_p_is_read_only(self):
+        with pytest.raises(AttributeError):
+            fuse(5, 1, 1).p = 7
+        assert fuse(5, 1, 1).p == 5
+
+    def test_editing_mults_copy_leaves_cache_intact(self):
+        mults = fuse(7, 2, 2).mults
+        mults[0] = 99
+        del mults[4]
+        assert fuse(7, 2, 2).mults == {0: 1, 2: 1, 4: 1}
+
+
 class TestOracleEquivalence:
     def test_matches_verlinde_and_closed_form(self):
         for p in SMALL_PRIMES:
@@ -100,6 +116,28 @@ class TestRingAxioms:
                 for b in range(p - 1):
                     n0 = fuse(p, a, b).mults.get(0, 0)
                     assert n0 == (1 if a == b else 0)
+
+
+class TestIteratedProductsOracle:
+    @staticmethod
+    def oracle_lengths(p, a, n_max):
+        """Lengths of L_a^n from truncated-CG coefficients alone."""
+        labels = range(p - 1)
+        power = [1 if b == a else 0 for b in labels]
+        lengths = [1]
+        for _ in range(n_max - 1):
+            power = [
+                sum(power[b] * clebsch_gordan_truncated(p, b, a, c) for b in labels)
+                for c in labels
+            ]
+            lengths.append(sum(power))
+        return lengths
+
+    @pytest.mark.parametrize("p", [5, 7, 31])
+    def test_gd_lengths_match_clebsch_gordan(self, p):
+        for a in sorted({1, 2, p - 3}):
+            est = gd_estimate(p, FusionElement.simple(p, a), 12)
+            assert est.lengths == self.oracle_lengths(p, a, 12)
 
 
 class TestDimFp:

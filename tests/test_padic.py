@@ -110,6 +110,13 @@ class TestOneMinusTPow:
         with pytest.raises(InsufficientPrecision):
             one_minus_t_pow(padic_of_int(1, 2, 3), 8)
 
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_truncation_rejected(self, n):
+        with pytest.raises(ValueError):
+            one_minus_t_pow_int(2, 3, n)
+        with pytest.raises(ValueError):
+            one_minus_t_pow(padic_of_int(2, 3, 4), n)
+
     def test_integer_exponent_matches_binomials(self):
         import math
 

@@ -12,7 +12,6 @@ from .characters import (
     Decomposition,
     decompose,
     simple_char,
-    specialize,
     weyl_char,
 )
 from .fusion import (

@@ -42,9 +42,6 @@ class Character:
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
 
-    def coeff(self, w: int) -> int:
-        return self._coeffs.get(abs(w), 0)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -111,9 +108,6 @@ class Character:
         """Value at q = 1."""
         return sum(c * (1 if w == 0 else 2) for w, c in self._coeffs.items())
 
-    def dimension_mod(self, p: int) -> int:
-        return self.dimension() % p
-
     def quantum_dimension(self, p: int) -> float:
         """Value at q = exp(i*pi/p); real since the polynomial is symmetric.
 
@@ -128,25 +122,6 @@ class Character:
         return val
 
 
-def specialize(c: Character, point: str, p: int | None = None):
-    """Evaluate a character at one of the supported points.
-
-    ``point`` is one of ``"q=1"``, ``"root_of_unity"`` (q = exp(i*pi/p)),
-    ``"mod_p"`` (residue of the q=1 value in F_p).
-    """
-    if point == "q=1":
-        return c.dimension()
-    if point == "root_of_unity":
-        if p is None:
-            raise ValueError("root_of_unity specialization needs p")
-        return c.quantum_dimension(p)
-    if point == "mod_p":
-        if p is None:
-            raise ValueError("mod_p specialization needs p")
-        return c.dimension_mod(p)
-    raise ValueError(f"unknown specialization point {point!r}")
-
-
 def weyl_char(m: int) -> Character:
     """Character of the Weyl/dual-Weyl module: q^m + q^{m-2} + ... + q^{-m}."""
     if m < 0:
@@ -154,15 +129,19 @@ def weyl_char(m: int) -> Character:
     return Character({w: 1 for w in range(m, -1, -2)})
 
 
-def base_p_digits(m: int, p: int) -> list[int]:
-    """Base-p digits of m, least significant first; [0] for m = 0."""
+def base_p_digits(m: int, p: int, width: int = 1) -> list[int]:
+    """Base-p digits of m >= 0, least significant first, zero-padded to width.
+
+    The one place an integer is written in base p: Steinberg labels,
+    p-adic digit vectors and digit counts all come from here.
+    """
     require_prime(p)
-    if m == 0:
-        return [0]
+    if m < 0:
+        raise ValueError(f"m = {m} has no base-p digits: it must be >= 0")
     digits = []
-    while m:
-        digits.append(m % p)
-        m //= p
+    while m or len(digits) < width:
+        m, d = divmod(m, p)
+        digits.append(d)
     return digits
 
 

@@ -373,11 +373,10 @@ def _build_provider(
         return growth.sl2_sym_provider(p)
     if provider == "constant":
         return growth.constant_provider()
-    if provider == "csv":
-        if csv_path is None:
-            raise click.UsageError("csv provider needs --csv")
-        return growth.csv_provider(csv_path)
-    raise click.UsageError(f"unknown provider {provider}")
+    # click.Choice has rejected any other name, so this is "csv"
+    if csv_path is None:
+        raise click.UsageError("csv provider needs --csv")
+    return growth.csv_provider(csv_path)
 
 
 _provider_options = [

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .characters import simple_char
 from .errors import IndexOutOfRange, NumericalInstability
-from .growth import log_big
 from .tilting import is_negligible, tensor_decompose_tilt
 from .verpn import check_index
 
@@ -58,12 +57,6 @@ class FusionElement:
     def __repr__(self) -> str:
         items = ", ".join(f"L{i}: {m}" for i, m in sorted(self._mults.items()))
         return f"FusionElement(p={self.p}, {{{items}}})"
-
-    def __add__(self, other: "FusionElement") -> "FusionElement":
-        out = dict(self._mults)
-        for i, m in other._mults.items():
-            out[i] = out.get(i, 0) + m
-        return FusionElement(self.p, out)
 
     def __mul__(self, other: "FusionElement") -> "FusionElement":
         out: dict[int, int] = {}
@@ -188,6 +181,8 @@ def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:
         if n > 1:
             power = power * x
         ell = power.length()
+        if not ell:
+            raise ValueError("log of non-positive value")
         lengths.append(ell)
-        roots.append(math.exp(log_big(ell) / n))
+        roots.append(math.exp(math.log(ell) / n))
     return GdEstimate(roots=roots, final=roots[-1], lengths=lengths)

@@ -17,16 +17,6 @@ from .characters import Basis, decompose, weyl_char
 from .errors import MissingHomDim, require_prime
 
 
-def log_big(n: int) -> float:
-    """Natural log of a (possibly huge) positive integer."""
-    if n <= 0:
-        raise ValueError("log of non-positive value")
-    if n.bit_length() <= 900:
-        return math.log(n)
-    k = n.bit_length() - 60
-    return math.log(n >> k) + k * math.log(2.0)
-
-
 # -- length engines -------------------------------------------------------
 
 # per prime p, the lengths computed so far, seeded with ell(0) and ell(-1)
@@ -199,8 +189,10 @@ def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
             raise ValueError("lengths must be non-negative")
         cumulative += ell
         if idx < len(sample_ns) and i == sample_ns[idx]:
+            if not cumulative:
+                raise ValueError("log of non-positive value")
             last_lengths[i] = ell
-            samples.append((i, cumulative, log_big(cumulative) / math.log(i)))
+            samples.append((i, cumulative, math.log(cumulative) / math.log(i)))
             idx += 1
 
     tail = samples[-TAIL_POINTS:]
@@ -216,7 +208,7 @@ def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
     # per-degree growth ratio ell(Sym^n)^(1/n) at the last two samples
     def ratio(n: int) -> float:
         ell = last_lengths[n]
-        return math.exp(log_big(ell) / n) if ell > 0 else 0.0
+        return math.exp(math.log(ell) / n) if ell > 0 else 0.0
 
     r_last = ratio(samples[-1][0])
     r_prev = ratio(samples[-2][0])

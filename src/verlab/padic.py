@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .characters import base_p_digits
 from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower, require_prime
 
 DEFAULT_TRUNCATION = 64
@@ -36,10 +37,7 @@ class PadicDigits:
 
     def to_int(self) -> int:
         """Representative in [0, p^M)."""
-        val = 0
-        for d in reversed(self.digits):
-            val = val * self.p + d
-        return val
+        return sum(d * self.p**j for j, d in enumerate(self.digits))
 
     def to_signed_int(self) -> int:
         """Balanced representative: the integer of least absolute value."""
@@ -52,12 +50,7 @@ def padic_of_int(x: int, p: int, m: int) -> PadicDigits:
     """Digits of x mod p^M; negative integers via the complement."""
     if m < 1:
         raise ValueError("precision M must be >= 1")
-    val = x % p**m
-    digits = []
-    for _ in range(m):
-        digits.append(val % p)
-        val //= p
-    return PadicDigits(p, tuple(digits))
+    return PadicDigits(p, tuple(base_p_digits(x % p**m, p, m)))
 
 
 def padic_add(a: PadicDigits, b: PadicDigits) -> PadicDigits:
@@ -157,12 +150,11 @@ def one_minus_t_pow_int(x: int, p: int, n: int = DEFAULT_TRUNCATION) -> FpSeries
 
 
 def recoverable_digits(p: int, n: int) -> int:
-    """Number of p-adic digits determined by a series truncated at t^N."""
-    require_prime(p)
-    m = 1
-    while p**m <= n:
-        m += 1
-    return m
+    """Number of p-adic digits determined by a series truncated at t^N.
+
+    That is the least M >= 1 with p^M > N, the digit count of max(N, 0).
+    """
+    return len(base_p_digits(max(n, 0), p))
 
 
 def dimplus_from_series(s: FpSeries) -> PadicDigits:
@@ -211,12 +203,9 @@ def dimplus_of_finite_sym(dmax: int, p: int | None = None) -> int:
 
 
 def is_p_power(x: int, p: int) -> bool:
+    """True when x = p^k for some k >= 0: one base-p digit 1, the rest 0."""
     require_prime(p)
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
+    return x >= 1 and sum(base_p_digits(x, p)) == 1
 
 
 def extension_transform(

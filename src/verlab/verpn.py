@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
+from .characters import base_p_digits
 from .errors import DigitOutOfRange, EvenPrime, IndexOutOfRange, require_prime
 
 
@@ -51,11 +52,7 @@ def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:
     The index bound guarantees the leading digit is at most p-2.
     """
     check_index(p, n, i)
-    digits = []
-    for _ in range(n):
-        digits.append(i % p)
-        i //= p
-    return tuple(reversed(digits))
+    return tuple(reversed(base_p_digits(i, p, n)))
 
 
 def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> VerpnSimple:
@@ -68,10 +65,7 @@ def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> Ve
             raise DigitOutOfRange(f"digit {d} outside [0, {p - 1}]")
     if digits[0] > p - 2:
         raise DigitOutOfRange(f"leading digit {digits[0]} exceeds {p - 2}")
-    index = 0
-    for d in digits:
-        index = index * p + d
-    return VerpnSimple(p, n, index)
+    return VerpnSimple(p, n, sum(d * p**j for j, d in enumerate(reversed(digits))))
 
 
 def embed(p: int, n: int, i: int) -> int:

@@ -1,17 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import verlab
 from verlab import (
     Basis,
     Character,
     decompose,
     simple_char,
-    specialize,
     weyl_char,
 )
 from verlab.characters import base_p_digits
 from verlab.errors import NegativeCoefficient
+from verlab.padic import is_p_power, padic_of_int, recoverable_digits
+
+SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
 
 
 def laurent_mul_oracle(a: Character, b: Character) -> Character:
@@ -185,16 +192,67 @@ class TestUnitriangularity:
 
 class TestSpecialize:
     def test_q1(self):
-        assert specialize(weyl_char(2), "q=1") == 3
+        assert weyl_char(2).dimension() == 3
 
     def test_root_of_unity(self):
         import math
 
-        val = specialize(weyl_char(1), "root_of_unity", 5)
+        val = weyl_char(1).quantum_dimension(5)
         assert abs(val - 2 * math.cos(math.pi / 5)) < 1e-12
 
     def test_mod_p(self):
-        assert specialize(weyl_char(4), "mod_p", 5) == 0
+        assert weyl_char(4).dimension() % 5 == 0
+
+
+DIGIT_PRIMES = (2, 3, 5, 7)
+
+
+class TestBasePDigits:
+    """``base_p_digits`` and its users against oracles written out here."""
+
+    @pytest.mark.parametrize("p", DIGIT_PRIMES)
+    def test_digits_reconstruct_and_pad(self, p):
+        for m in range(3000):
+            ndigits, x = 1, m
+            while x >= p:
+                x //= p
+                ndigits += 1
+            for width in range(1, 7):
+                digits = base_p_digits(m, p, width)
+                assert sum(d * p**j for j, d in enumerate(digits)) == m
+                assert len(digits) == max(width, ndigits), (m, p, width)
+                assert all(0 <= d < p for d in digits)
+
+    def test_recoverable_digits_least_m(self):
+        for p in DIGIT_PRIMES:
+            for n in range(-5, 3000):
+                m = 1
+                while p**m <= n:
+                    m += 1
+                assert recoverable_digits(p, n) == m, (p, n)
+
+    def test_is_p_power_against_division(self):
+        for p in DIGIT_PRIMES:
+            for x in range(-5, 3000):
+                y = x
+                while y >= 1 and y % p == 0:
+                    y //= p
+                assert is_p_power(x, p) == (y == 1), (p, x)
+
+    def test_padic_of_int_round_trip(self):
+        for p in DIGIT_PRIMES:
+            for x in range(-3000, 3000, 7):
+                for m in range(1, 7):
+                    assert padic_of_int(x, p, m).to_int() == x % p**m, (p, x, m)
+
+    def test_negative_raises_without_hanging(self):
+        code = "from verlab.characters import base_p_digits; base_p_digits(-1, 3)"
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR}, timeout=10,
+        )
+        assert res.returncode == 1
+        assert "ValueError: m = -1 has no base-p digits" in res.stderr
 
 
 class TestLengthRecursion:

@@ -139,6 +139,10 @@ class TestIteratedProductsOracle:
             est = gd_estimate(p, FusionElement.simple(p, a), 12)
             assert est.lengths == self.oracle_lengths(p, a, 12)
 
+    def test_gd_zero_element_rejected(self):
+        with pytest.raises(ValueError, match="log of non-positive value"):
+            gd_estimate(5, FusionElement(5), 3)
+
 
 class TestDimFp:
     def test_examples(self):

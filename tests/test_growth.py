@@ -3,6 +3,7 @@ import math
 import pytest
 
 from verlab import (
+    LengthProvider,
     binomial_provider,
     constant_provider,
     csv_provider,
@@ -106,6 +107,17 @@ class TestSgdEstimate:
     def test_n_max_too_small(self):
         with pytest.raises(ValueError):
             sgd_estimate(constant_provider(), 8)
+
+    def test_zero_cumulative_rejected(self):
+        zero = LengthProvider(name="zero", length=lambda n: 0)
+        with pytest.raises(ValueError, match="log of non-positive value"):
+            sgd_estimate(zero, 16)
+
+    def test_huge_lengths_give_finite_samples(self):
+        huge = LengthProvider(name="huge", length=lambda n: 10**400 + n)
+        est = sgd_estimate(huge, 64)
+        assert all(math.isfinite(e) for _, _, e in est.samples)
+        assert math.isfinite(est.final)
 
 
 class TestMnDiagnostic:

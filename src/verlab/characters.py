@@ -50,9 +50,6 @@ class Character:
             raise ValueError("zero character has no top weight")
         return max(self._coeffs)
 
-    def weights(self) -> list[int]:
-        return sorted(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Character) and self._coeffs == other._coeffs
 

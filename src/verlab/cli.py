@@ -152,7 +152,7 @@ def char_simple(p: int, m: int) -> dict:
     return _render_character(characters.simple_char(p, m))
 
 
-@command(char, "tilt", "tilting character recursion")
+@command(char, "tilt", "Weyl factors from the base-p digits of m+1")
 @click.option("-p", type=int, required=True)
 @click.option("-m", type=int, required=True)
 def char_tilt(p: int, m: int) -> dict:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .characters import simple_char
-from .errors import IndexOutOfRange, NumericalInstability
+from .errors import IndexOutOfRange, NumericalInstability, require_prime
 from .tilting import is_negligible, tensor_decompose_tilt
 from .verpn import check_index
 
@@ -23,7 +23,7 @@ class FusionElement:
     __slots__ = ("_p", "_mults")
 
     def __init__(self, p: int, mults: dict[int, int] | None = None):
-        self._p = p
+        self._p = require_prime(p)
         mults = mults or {}
         if mults:
             check_index(p, 1, min(mults))

@@ -27,6 +27,7 @@ class PadicDigits:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        require_prime(self.p)
         for d in self.digits:
             if not 0 <= d < self.p:
                 raise ValueError(f"digit {d} outside [0, {self.p - 1}]")
@@ -48,6 +49,7 @@ class PadicDigits:
 
 def padic_of_int(x: int, p: int, m: int) -> PadicDigits:
     """Digits of x mod p^M; negative integers via the complement."""
+    require_prime(p)
     if m < 1:
         raise ValueError("precision M must be >= 1")
     return PadicDigits(p, tuple(base_p_digits(x % p**m, p, m)))

@@ -1,37 +1,42 @@
 """Split Grothendieck ring of tilting modules of SL2 in characteristic p.
 
-Indecomposable tilting characters are produced by the Donkin-style
-recursion; tensor products decompose exactly into indecomposable tiltings
-by greedy peeling, and negligibility at level p^n is the closed-form
-predicate m >= p^n - 1.
+Indecomposable tilting characters are sums of Weyl characters read off the
+base-p digits of m+1; tensor products decompose exactly into indecomposable
+tiltings by greedy peeling, and negligibility at level p^n is the
+closed-form predicate m >= p^n - 1.
 """
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
-from .characters import Basis, Character, Decomposition, decompose, weyl_char
+from .characters import Basis, Character, Decomposition, base_p_digits, decompose
 from .errors import require_prime
 
 
-@functools.lru_cache(maxsize=None)
-def tilting_char(p: int, m: int) -> Character:
-    """Character of the indecomposable tilting module T_m.
+def weyl_factors(p: int, m: int) -> list[int]:
+    """Highest weights f of the Weyl factors Delta(f) of T_m, each once, ascending.
 
-    Base cases: T_m has Weyl character chi_m for m <= p-1, and
-    chi_m + chi_{2p-2-m} for p <= m <= 2p-2.  For m >= 2p-1, factor
-    m = m0 + p*m1 with the unique m0 in [p-1, 2p-2] and multiply T_{m0}
-    by the Frobenius twist of T_{m1}.
+    With m+1 = [a_r, ..., a_0] in base p and a_r != 0, f = w - 1 for w in
+    {a_r p^r +- a_{r-1} p^{r-1} +- ... +- a_0}, the sign varying only at
+    nonzero digits (Tubbenhauer-Wedrich, Quivers for SL2 tilting modules).
     """
     require_prime(p)
     if m < 0:
         raise ValueError("highest weight must be non-negative")
-    if m <= p - 1:
-        return weyl_char(m)
-    if m <= 2 * p - 2:
-        return weyl_char(m) + weyl_char(2 * p - 2 - m)
-    m0 = (p - 1) + (m - (p - 1)) % p
-    m1 = (m - m0) // p
-    return tilting_char(p, m0) * tilting_char(p, m1).frobenius_twist(p)
+    *low, top = base_p_digits(m + 1, p)
+    ws = [top * p ** len(low)]
+    # Top digit first: the gaps in ws exceed 2 a_j p^j, so ws stays ascending.
+    for j in reversed(range(len(low))):
+        if low[j]:
+            ws = [w + s * low[j] * p**j for w in ws for s in (-1, 1)]
+    return [w - 1 for w in ws]
+
+
+@functools.lru_cache(maxsize=None)
+def tilting_char(p: int, m: int) -> Character:
+    """Character of the tilting module T_m: the sum of chi_f over its Weyl factors f."""
+    return Character(Counter(w for f in weyl_factors(p, m) for w in range(f, -1, -2)))
 
 
 def tensor_decompose_tilt(p: int, a: int, b: int) -> Decomposition:
@@ -46,6 +51,7 @@ def is_negligible(p: int, n: int, m: int) -> bool:
     the indecomposables in the ideal are exactly those with m >= p^n - 1.
     The ideal-closure property test certifies this description.
     """
+    require_prime(p)
     if n < 1:
         raise ValueError("level exponent n must be >= 1")
     return m >= p**n - 1

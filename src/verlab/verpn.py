@@ -41,10 +41,6 @@ class VerpnSimple:
     def __post_init__(self) -> None:
         check_index(self.p, self.n, self.index)
 
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return steinberg_digits(self.p, self.n, self.index)
-
 
 def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:
     """Base-p digits of i, most significant first, n digits.
@@ -57,6 +53,7 @@ def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:
 
 def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> VerpnSimple:
     """Simple object with index sum_j p^{n-j} i_j; inverse of the digit map."""
+    max_index(p, n)  # p and n >= 1 before any digit is read
     digits = tuple(digits)
     if len(digits) != n:
         raise DigitOutOfRange(f"expected {n} digits, got {len(digits)}")

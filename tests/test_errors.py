@@ -6,8 +6,15 @@ from verlab.characters import base_p_digits
 from verlab.errors import PRIME_LIMIT, require_prime
 from verlab.fusion import FusionElement
 from verlab.growth import nabla_length
-from verlab.padic import FpSeries, frobenius_palindromy_check, is_p_power, recoverable_digits
-from verlab.tilting import tilting_char
+from verlab.padic import (
+    FpSeries,
+    PadicDigits,
+    frobenius_palindromy_check,
+    is_p_power,
+    padic_of_int,
+    recoverable_digits,
+)
+from verlab.tilting import is_negligible, tilting_char, weyl_factors
 from verlab.verpn import max_index, odd_line
 
 
@@ -51,13 +58,19 @@ GUARDED = {
     "characters.base_p_digits": lambda p: base_p_digits(5, p),
     "growth.nabla_length": lambda p: nabla_length(p, 5),
     "padic.FpSeries": lambda p: FpSeries(p, (1, 1)),
+    "padic.PadicDigits": lambda p: PadicDigits(p, (1,)),
+    "padic.PadicDigits.empty": lambda p: PadicDigits(p, ()),
+    "padic.padic_of_int": lambda p: padic_of_int(5, p, 3),
     "padic.recoverable_digits": lambda p: recoverable_digits(p, 8),
     "padic.is_p_power": lambda p: is_p_power(16, p),
     "padic.frobenius_palindromy_check": lambda p: frobenius_palindromy_check(p, [1], 0),
     "tilting.tilting_char": lambda p: tilting_char(p, 3),
+    "tilting.weyl_factors": lambda p: weyl_factors(p, 3),
+    "tilting.is_negligible": lambda p: is_negligible(p, 1, 3),
     "verpn.max_index": lambda p: max_index(p, 1),
     "verpn.odd_line": lambda p: odd_line(p, 2),
     "fusion.FusionElement": lambda p: FusionElement.simple(p, 1),
+    "fusion.FusionElement.zero": lambda p: FusionElement(p, {}),
 }
 
 

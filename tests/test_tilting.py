@@ -1,15 +1,39 @@
+import functools
+
 import pytest
 
 from verlab import (
     Basis,
+    Character,
     decompose,
     is_negligible,
     tensor_decompose_tilt,
     tilting_char,
     weyl_char,
 )
+from verlab.characters import base_p_digits
+from verlab.tilting import weyl_factors
 
 PRIMES = (2, 3, 5, 7)
+# (p, m_limit): the formula is checked against Donkin for every m < m_limit.
+ORACLE_RANGES = ((2, 800), (3, 800), (5, 800), (7, 1500), (11, 1500))
+
+
+@functools.lru_cache(maxsize=None)
+def donkin_tilting_char(p: int, m: int) -> Character:
+    """Oracle: Donkin's tensor-product recursion for T_m.
+
+    T_m is chi_m for m <= p-1 and chi_m + chi_{2p-2-m} for p <= m <= 2p-2.
+    For m >= 2p-1, write m = m0 + p*m1 with the unique m0 in [p-1, 2p-2];
+    then T_m = T_{m0} (x) T_{m1}^{[1]}, the second factor Frobenius-twisted.
+    """
+    if m <= p - 1:
+        return weyl_char(m)
+    if m <= 2 * p - 2:
+        return weyl_char(m) + weyl_char(2 * p - 2 - m)
+    m0 = (p - 1) + (m - (p - 1)) % p
+    m1 = (m - m0) // p
+    return donkin_tilting_char(p, m0) * donkin_tilting_char(p, m1).frobenius_twist(p)
 
 
 class TestTiltingChar:
@@ -55,6 +79,35 @@ class TestTiltingChar:
         for p in (1, 0, -2):
             with pytest.raises(ValueError):
                 tilting_char(p, 3)
+
+    @pytest.mark.parametrize("p, limit", ORACLE_RANGES)
+    def test_matches_donkin_recursion(self, p, limit):
+        for m in range(limit):
+            assert tilting_char(p, m) == donkin_tilting_char(p, m), (p, m)
+
+    def test_prime_checked_before_weight(self):
+        with pytest.raises(ValueError, match="not prime"):
+            tilting_char(4, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            tilting_char(3, -1)
+
+
+class TestWeylFactors:
+    @pytest.mark.parametrize("p, limit", ORACLE_RANGES)
+    def test_shape_count_and_dimension(self, p, limit):
+        for m in range(limit):
+            factors = weyl_factors(p, m)
+            assert factors == sorted(set(factors)), (p, m)
+            assert factors[-1] == m
+            k = sum(1 for d in base_p_digits(m + 1, p)[:-1] if d)
+            assert len(factors) == 2**k, (p, m)
+            assert sum(f + 1 for f in factors) == tilting_char(p, m).dimension()
+
+    def test_examples(self):
+        assert weyl_factors(3, 0) == [0]
+        assert weyl_factors(3, 3) == [1, 3]  # m+1 = [1, 1]: 3 +- 1
+        assert weyl_factors(3, 5) == [5]  # m+1 = [2, 0]: no sign at the zero digit
+        assert weyl_factors(2, 6) == [0, 2, 4, 6]  # m+1 = [1, 1, 1]: 4 +- 2 +- 1
 
 
 class TestTensorDecompose:

@@ -65,6 +65,11 @@ class TestProduct:
         with pytest.raises(DigitOutOfRange):
             steinberg_product(3, 2, (0, 3))
 
+    def test_level_checked_before_digits(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                steinberg_product(3, n, ())
+
 
 class TestEmbed:
     def test_examples(self):

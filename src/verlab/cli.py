@@ -8,7 +8,9 @@ every ``{command, inputs, result | error}`` envelope.  Click parses every
 option, so malformed input is a usage error (exit 2); domain errors, a
 non-prime ``-p`` among them, exit 1 with a machine-readable error object.
 The truncation for series commands defaults to 64 and can be overridden by
-``--prec`` or the VERLAB_PREC environment variable.
+``--prec`` or the VERLAB_PREC environment variable.  Layers load on first
+use (see ``verlab/__init__.py``), so a command runs only the layers it
+calls, and an option default that reads a layer is resolved at parse time.
 """
 from __future__ import annotations
 
@@ -306,7 +308,7 @@ def padic_group() -> None:
 @click.option(
     "--prec",
     type=int,
-    default=padic.DEFAULT_TRUNCATION,
+    default=lambda: padic.DEFAULT_TRUNCATION,
     envvar="VERLAB_PREC",
     help="series truncation N",
 )

@@ -113,6 +113,7 @@ def partitions_provider() -> LengthProvider:
 
 def sl2_sym_provider(p: int) -> LengthProvider:
     """Symmetric powers of the natural SL2 module: ell(Sym^n) = ell(nabla(n))."""
+    require_prime(p)
     return LengthProvider(
         name=f"sl2_sym({p})",
         length=lambda n: nabla_length(p, n),

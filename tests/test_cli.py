@@ -87,6 +87,14 @@ class TestPadicCommands:
         )
         assert payload(res)["result"]["truncation"] == 10
 
+    def test_prec_default(self):
+        res = CliRunner().invoke(
+            main, ["padic", "pow", "-p", "2", "--exp", "3"], env={"VERLAB_PREC": None}
+        )
+        out = payload(res)
+        assert out["inputs"]["prec"] == 64
+        assert out["result"]["truncation"] == 64
+
     @pytest.mark.parametrize("prec", ["-1", "-5"])
     def test_negative_prec_exit_1(self, prec, schema):
         res = run_process("padic", "pow", "-p", "3", "--exp", "2", "--prec", prec)

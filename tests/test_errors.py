@@ -5,7 +5,7 @@ import pytest
 from verlab.characters import base_p_digits
 from verlab.errors import PRIME_LIMIT, require_prime
 from verlab.fusion import FusionElement
-from verlab.growth import nabla_length
+from verlab.growth import nabla_length, sl2_sym_provider
 from verlab.padic import (
     FpSeries,
     PadicDigits,
@@ -57,6 +57,7 @@ class TestRequirePrime:
 GUARDED = {
     "characters.base_p_digits": lambda p: base_p_digits(5, p),
     "growth.nabla_length": lambda p: nabla_length(p, 5),
+    "growth.sl2_sym_provider": sl2_sym_provider,
     "padic.FpSeries": lambda p: FpSeries(p, (1, 1)),
     "padic.PadicDigits": lambda p: PadicDigits(p, (1,)),
     "padic.PadicDigits.empty": lambda p: PadicDigits(p, ()),

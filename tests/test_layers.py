@@ -1,0 +1,80 @@
+"""Each layer runs on first use: a fresh process runs only the layers it calls."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import verlab
+
+SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
+LAYERS = ("errors", "characters", "tilting", "verpn", "fusion", "padic", "growth")
+
+# Printed last by each script: the layers whose code has run.  A lazy layer
+# is a subclass of ModuleType until it runs; reading its type does not run it.
+RAN = """
+import json, sys, types
+ran = [n for n in LAYERS if type(sys.modules["verlab." + n]) is types.ModuleType]
+print(json.dumps(ran))
+"""
+
+CLI_THEN_REPORT = """
+import runpy
+try:
+    runpy.run_module("verlab.cli", run_name="__main__")
+except SystemExit:
+    pass
+""" + RAN
+
+PACKAGE_CONTRACT = """
+import sys
+import verlab
+assert all("verlab." + n in sys.modules for n in LAYERS)
+""" + RAN + """
+for name in verlab.__all__:
+    obj = getattr(verlab, name)
+    assert obj.__module__.startswith("verlab."), name
+    assert obj is getattr(sys.modules[obj.__module__], name), name
+star = {}
+exec("from verlab import *", star)
+assert all(star[name] is getattr(verlab, name) for name in verlab.__all__)
+try:
+    verlab.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("verlab.no_such_name resolved")
+print("ok")
+"""
+
+
+def run_script(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that has LAYERS bound."""
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    env.pop("VERLAB_PREC", None)
+    return subprocess.run(
+        [sys.executable, "-c", f"LAYERS = {LAYERS!r}\n{script}", *args],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("char weyl -m 3", {"errors", "characters"}),
+    ("verpn oddline -p 3 -n 2", {"errors", "characters", "verpn"}),
+    ("padic pow -p 3 --exp 2", {"errors", "characters", "padic"}),
+    ("sgd estimate --provider constant --nmax 16", {"errors", "characters", "growth"}),
+    ("verp fuse -p 5 -a 1 -b 3", {"errors", "characters", "tilting", "verpn", "fusion"}),
+    ("verp fuse -p x -a 1 -b 1", {"errors", "characters"}),
+])
+def test_cli_command_runs_only_its_layers(command, layers):
+    res = run_script(CLI_THEN_REPORT, *command.split())
+    assert set(json.loads(res.stdout.splitlines()[-1])) == layers, res.stderr
+
+
+def test_package_contract():
+    res = run_script(PACKAGE_CONTRACT)
+    assert res.returncode == 0, res.stderr
+    ran, ok = res.stdout.splitlines()
+    assert json.loads(ran) == [] and ok == "ok"

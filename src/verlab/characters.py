@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import NegativeCoefficient, require_prime
 
@@ -95,10 +96,6 @@ class Character:
                 prod[u] = prod.get(u, 0) + c1 * c2
         return Character({w: c for w, c in prod.items() if w >= 0})
 
-    def frobenius_twist(self, p: int) -> "Character":
-        """Substitute q -> q^p, i.e. multiply every weight by p."""
-        return Character({w * p: c for w, c in self._coeffs.items()})
-
     # -- specializations --------------------------------------------------
 
     def dimension(self) -> int:
@@ -108,8 +105,8 @@ class Character:
     def quantum_dimension(self, p: int) -> float:
         """Value at q = exp(i*pi/p); real since the polynomial is symmetric.
 
-        Values with magnitude below 1e-9 are snapped to exact zero; this
-        specialization is only used as a floating-point oracle.
+        Values with magnitude below 1e-9 are snapped to exact zero.  The
+        fpdim certificate vector is this value on the simple characters.
         """
         val = 0.0
         for w, c in self._coeffs.items():
@@ -146,17 +143,15 @@ def base_p_digits(m: int, p: int, width: int = 1) -> list[int]:
 def simple_char(p: int, m: int) -> Character:
     """Character of the simple module L_m in characteristic p.
 
-    Steinberg factorization: with base-p digits m = sum m_j p^j, the simple
-    character is the product over j of the j-fold Frobenius twist of the
-    Weyl character of the digit m_j.
+    Steinberg: with base-p digits m = sum m_j p^j, the weights of L_m are
+    the sums sum p^j w_j with each w_j in {m_j, m_j - 2, ..., -m_j}.
     """
     if m < 0:
         raise ValueError("highest weight must be non-negative")
-    out = Character({0: 1})
-    for j, digit in enumerate(base_p_digits(m, p)):
-        if digit:
-            out = out * weyl_char(digit).frobenius_twist(p**j)
-    return out
+    sums = [0]
+    for j, d in enumerate(base_p_digits(m, p)):
+        sums = [s + v for v in range(d * p**j, -d * p**j - 1, -2 * p**j) for s in sums]
+    return Character(Counter(w for w in sums if w >= 0))
 
 
 @dataclass

@@ -147,7 +147,7 @@ def char_weyl(m: int) -> dict:
     return _render_character(characters.weyl_char(m))
 
 
-@command(char, "simple", "Steinberg digit factorization")
+@command(char, "simple", "Steinberg weights from the base-p digits of m")
 @click.option("-p", type=int, required=True)
 @click.option("-m", type=int, required=True)
 def char_simple(p: int, m: int) -> dict:
@@ -328,7 +328,7 @@ def padic_recover(p: int, series: list[int]) -> dict:
 
 @command(padic_group, "finite", "finite symmetric algebra rule")
 @click.option("--top", type=int, required=True, help="top nonvanishing symmetric power")
-@click.option("-p", type=int, default=None)
+@click.option("-p", type=int, default=None, help="a prime; the answer does not depend on it")
 def padic_finite(top: int, p: int | None) -> dict:
     return {"dimplus": padic.dimplus_of_finite_sym(top, p)}
 

@@ -172,6 +172,8 @@ def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:
     Lengths are exact arbitrary-precision integers; the raw root sequence
     is reported without extrapolation.
     """
+    if p != x.p:
+        raise ValueError(f"p = {p} does not match the element's p = {x.p}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     roots: list[float] = []

@@ -189,18 +189,12 @@ def dimplus_from_series(s: FpSeries) -> PadicDigits:
 def dimplus_of_finite_sym(dmax: int, p: int | None = None) -> int:
     """p-adic dimension of an object whose top nonzero symmetric power is dmax.
 
-    Returns -dmax.  When p is supplied and dmax >= 1, also certifies the
-    companion fact that the symmetric algebra has total dimension 0 mod p
-    by evaluating the digit product (1-t)^dmax at t = 1.
+    Returns -dmax whatever the prime p; a given p is only checked to be prime.
     """
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
-    if p is not None and dmax >= 1:
-        series = one_minus_t_pow_int(dmax, p, dmax)
-        if series.value_at_one() != 0:
-            raise AssertionError(
-                f"(1-t)^{dmax} at t=1 is {series.value_at_one()} mod {p}, expected 0"
-            )
+    if p is not None:
+        require_prime(p)
     return -dmax
 
 

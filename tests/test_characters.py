@@ -19,6 +19,8 @@ from verlab.errors import NegativeCoefficient
 from verlab.padic import is_p_power, padic_of_int, recoverable_digits
 
 SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
+# (p, m_limit): the digit formula is checked against the product for every m < m_limit.
+STEINBERG_RANGES = ((2, 2048), (3, 2000), (5, 2000), (7, 1500), (11, 1000))
 
 
 def laurent_mul_oracle(a: Character, b: Character) -> Character:
@@ -37,6 +39,18 @@ def laurent_mul_oracle(a: Character, b: Character) -> Character:
         for w2, c2 in unfold(b).items():
             prod[w1 + w2] = prod.get(w1 + w2, 0) + c1 * c2
     return Character({w: c for w, c in prod.items() if w >= 0})
+
+
+def steinberg_product_oracle(p: int, m: int) -> Character:
+    """Oracle: Steinberg's tensor product theorem for L_m.
+
+    L_m is the product over the base-p digits m_j of m of chi_{m_j},
+    Frobenius-twisted j times, i.e. with every weight multiplied by p^j.
+    """
+    out = Character({0: 1})
+    for j, digit in enumerate(base_p_digits(m, p)):
+        out = out * Character({w * p**j: c for w, c in weyl_char(digit).coeffs.items()})
+    return out
 
 
 def random_module_char(rng, max_w=8, max_c=3):
@@ -101,25 +115,6 @@ class TestMul:
             assert (a * b) * c == a * (b * c)
 
 
-class TestFrobeniusTwist:
-    def test_chi1_p2(self):
-        assert weyl_char(1).frobenius_twist(2).coeffs == {2: 1}
-
-    def test_constant(self):
-        one = Character({0: 1})
-        for p in (2, 3, 5):
-            assert one.frobenius_twist(p) == one
-
-    def test_chi2_p3(self):
-        assert weyl_char(2).frobenius_twist(3).coeffs == {6: 1, 0: 1}
-
-    def test_dimension_preserved(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            c = random_module_char(rng)
-            assert c.frobenius_twist(3).dimension() == c.dimension()
-
-
 class TestSimpleChar:
     def test_p2_m2(self):
         c = simple_char(2, 2)
@@ -133,6 +128,11 @@ class TestSimpleChar:
 
     def test_p2_m3_steinberg(self):
         assert simple_char(2, 3) == weyl_char(3)
+
+    def test_matches_steinberg_product(self):
+        for p, limit in STEINBERG_RANGES:
+            for m in range(limit):
+                assert simple_char(p, m) == steinberg_product_oracle(p, m), (p, m)
 
     def test_prime_below_two_rejected(self):
         for p in (1, 0, -2):

@@ -63,6 +63,12 @@ class TestPadicCommands:
         assert res.exit_code == 0
         assert payload(res)["result"] == {"dimplus": -2}
 
+    def test_finite_huge_top_answers_at_once(self):
+        res = run_process("padic", "finite", "--top", str(10**12), "-p", "2")
+        assert res.returncode == 0
+        assert "Traceback" not in res.stdout + res.stderr
+        assert json.loads(res.stdout)["result"] == {"dimplus": -(10**12)}
+
     def test_extend_ver8(self):
         res = invoke(
             "padic", "extend", "-p", "2", "--nlen", "4", "--dimv", "-2",

@@ -4,11 +4,12 @@ import pytest
 
 from verlab.characters import base_p_digits
 from verlab.errors import PRIME_LIMIT, require_prime
-from verlab.fusion import FusionElement
+from verlab.fusion import FusionElement, gd_estimate
 from verlab.growth import nabla_length, sl2_sym_provider
 from verlab.padic import (
     FpSeries,
     PadicDigits,
+    dimplus_of_finite_sym,
     frobenius_palindromy_check,
     is_p_power,
     padic_of_int,
@@ -65,6 +66,7 @@ GUARDED = {
     "padic.recoverable_digits": lambda p: recoverable_digits(p, 8),
     "padic.is_p_power": lambda p: is_p_power(16, p),
     "padic.frobenius_palindromy_check": lambda p: frobenius_palindromy_check(p, [1], 0),
+    "padic.dimplus_of_finite_sym": lambda p: dimplus_of_finite_sym(0, p),
     "tilting.tilting_char": lambda p: tilting_char(p, 3),
     "tilting.weyl_factors": lambda p: weyl_factors(p, 3),
     "tilting.is_negligible": lambda p: is_negligible(p, 1, 3),
@@ -72,6 +74,7 @@ GUARDED = {
     "verpn.odd_line": lambda p: odd_line(p, 2),
     "fusion.FusionElement": lambda p: FusionElement.simple(p, 1),
     "fusion.FusionElement.zero": lambda p: FusionElement(p, {}),
+    "fusion.gd_estimate": lambda p: gd_estimate(p, FusionElement.simple(5, 1), 3),
 }
 
 

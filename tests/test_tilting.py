@@ -33,7 +33,8 @@ def donkin_tilting_char(p: int, m: int) -> Character:
         return weyl_char(m) + weyl_char(2 * p - 2 - m)
     m0 = (p - 1) + (m - (p - 1)) % p
     m1 = (m - m0) // p
-    return donkin_tilting_char(p, m0) * donkin_tilting_char(p, m1).frobenius_twist(p)
+    twist = Character({w * p: c for w, c in donkin_tilting_char(p, m1).coeffs.items()})
+    return donkin_tilting_char(p, m0) * twist
 
 
 class TestTiltingChar:

@@ -419,7 +419,7 @@ def sgd_estimate_cmd(
 
 @command(sgd_group, "diagnose", "growth estimate vs dim Hom(X, unit)")
 @_with_provider_options
-@click.option("--homdim", type=int, default=None, help="override the provider hom_dim")
+@click.option("--homdim", type=click.IntRange(min=0), help="override the provider hom_dim")
 def sgd_diagnose_cmd(
     provider: str,
     p: int | None,

@@ -1,10 +1,11 @@
 """Symmetric growth dimension estimation from exact length sequences.
 
 A LengthProvider supplies the exact length of the n-th symmetric power of
-some object; the estimator samples cumulative lengths at powers of two
-and realizes the limsup as a tail fit.  The classification thresholds
-are module constants, deliberately conservative: the estimator reports
-diagnostics rather than silently assuming the limit exists.
+some object and the exact sum of those lengths up to n; the estimator
+samples that cumulative sum at powers of two and realizes the limsup as a
+tail fit.  The classification thresholds are module constants,
+deliberately conservative: the estimator reports diagnostics rather than
+silently assuming the limit exists.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from .errors import MissingHomDim, require_prime
 
 # per prime p, the lengths computed so far, seeded with ell(0) and ell(-1)
 _LENGTHS: dict[int, dict[int, int]] = {}
+# per prime p, the prefix sums S(n) = sum_{i<n} ell(i) computed so far
+_PREFIX_SUMS: dict[int, dict[int, int]] = {}
 
 
 def nabla_length_by_decomposition(p: int, m: int) -> int:
@@ -42,11 +45,31 @@ def nabla_length(p: int, m: int) -> int:
     """
     if m < 0:
         raise ValueError("highest weight must be non-negative")
+    return _nabla_length(_length_table(p), p, m)
+
+
+def nabla_cumulative(p: int, n: int) -> int:
+    """Sum of ``nabla_length(p, i)`` over 0 <= i <= n.
+
+    With S(n) = sum_{i<n} ell(i), summing the digit recursion of
+    ``nabla_length`` over whole blocks of p weights gives
+    S(pq + r) = p*S(q) + (p-1)*S(q-1) + r*(ell(q) + ell(q-1)) for
+    0 <= r <= p-1, from S(0) = S(-1) = 0.  The sum is S(n + 1); memoized
+    per p, it touches O(log n) prefix sums and lengths.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    lengths = _length_table(p)
+    sums = _PREFIX_SUMS.setdefault(p, {0: 0, -1: 0})
+    return _prefix_sum(sums, lengths, p, n + 1)
+
+
+def _length_table(p: int) -> dict[int, int]:
     table = _LENGTHS.get(p)
     if table is None:
         require_prime(p)
         table = _LENGTHS[p] = {0: 1, -1: 0}
-    return _nabla_length(table, p, m)
+    return table
 
 
 def _nabla_length(table: dict[int, int], p: int, m: int) -> int:
@@ -57,6 +80,17 @@ def _nabla_length(table: dict[int, int], p: int, m: int) -> int:
         if a != p - 1:
             val += _nabla_length(table, p, b - 1)
         table[m] = val
+    return val
+
+
+def _prefix_sum(sums: dict[int, int], lengths: dict[int, int], p: int, n: int) -> int:
+    val = sums.get(n)
+    if val is None:
+        q, r = divmod(n, p)
+        val = p * _prefix_sum(sums, lengths, p, q) + (p - 1) * _prefix_sum(sums, lengths, p, q - 1)
+        if r:
+            val += r * (_nabla_length(lengths, p, q) + _nabla_length(lengths, p, q - 1))
+        sums[n] = val
     return val
 
 
@@ -90,19 +124,48 @@ def partition_count(n: int) -> int:
 
 @dataclass
 class LengthProvider:
-    """Exact per-degree length function n -> ell(Sym^n X)."""
+    """Exact per-degree lengths n -> ell(Sym^n X) and their prefix sums.
+
+    ``cumulative(n)`` is sum_{i<=n} ell(i).  A provider with a closed form
+    passes it; the default is a running sum of ``length`` that resumes
+    from the last n it was asked for and rejects a negative length.
+    """
 
     name: str
     length: Callable[[int], int]
     hom_dim: int | None = None
+    cumulative: Callable[[int], int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.cumulative is None:
+            self.cumulative = _running_sum(self.length)
+
+
+def _running_sum(length: Callable[[int], int]) -> Callable[[int], int]:
+    last = [-1, 0]  # the last n summed and its sum
+
+    def cumulative(n: int) -> int:
+        i, total = last if n >= last[0] else (-1, 0)
+        for i in range(i + 1, n + 1):
+            ell = length(i)
+            if ell < 0:
+                raise ValueError("lengths must be non-negative")
+            total += ell
+        last[:] = n, total
+        return total
+
+    return cumulative
 
 
 def binomial_provider(m: int) -> LengthProvider:
     """Model of an m-dimensional tannakian object: ell(Sym^n) = C(n+m-1, m-1)."""
+    if m < 1:
+        raise ValueError(f"binomial provider needs m >= 1, got m={m}")
     return LengthProvider(
         name=f"binomial({m})",
         length=lambda n: math.comb(n + m - 1, m - 1),
         hom_dim=m,
+        cumulative=lambda n: math.comb(n + m, m),
     )
 
 
@@ -118,12 +181,15 @@ def sl2_sym_provider(p: int) -> LengthProvider:
         name=f"sl2_sym({p})",
         length=lambda n: nabla_length(p, n),
         hom_dim=0,
+        cumulative=lambda n: nabla_cumulative(p, n),
     )
 
 
 def constant_provider() -> LengthProvider:
     """Model with ell(Sym^n) = 1 for all n (growth dimension one)."""
-    return LengthProvider(name="constant", length=lambda n: 1, hom_dim=1)
+    return LengthProvider(
+        name="constant", length=lambda n: 1, hom_dim=1, cumulative=lambda n: n + 1
+    )
 
 
 def csv_provider(path: str, name: str | None = None) -> LengthProvider:
@@ -167,34 +233,23 @@ class GrowthEstimate:
 def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
     """Estimate the symmetric growth dimension from cumulative lengths.
 
-    Samples s_n = sum_{i<=n} ell(Sym^i) at n = 2^k up to n_max; the
-    per-sample estimate is log(s_n)/log(n) and the final value is the
-    intercept of a least-squares fit of the estimates against 1/log(n)
-    over the tail (modelling log s_n = d log n + C).
+    Samples s_n = sum_{i<=n} ell(Sym^i) = ``provider.cumulative(n)`` at
+    n = 2^k up to n_max; the per-sample estimate is log(s_n)/log(n) and the
+    final value is the intercept of a least-squares fit of the estimates
+    against 1/log(n) over the tail (modelling log s_n = d log n + C).  The
+    provider is asked for s_n and ell(n) only at the samples, so a closed
+    form costs O(log n_max) and a running sum O(n_max).
     """
     if n_max < 16:
         raise ValueError("n_max must be >= 16")
-    sample_ns = []
+    samples: list[tuple[int, int, float]] = []
     n = 4
     while n <= n_max:
-        sample_ns.append(n)
+        total = provider.cumulative(n)
+        if total <= 0:
+            raise ValueError("log of non-positive value")
+        samples.append((n, total, math.log(total) / math.log(n)))
         n *= 2
-
-    samples: list[tuple[int, int, float]] = []
-    cumulative = 0
-    last_lengths: dict[int, int] = {}
-    idx = 0
-    for i in range(sample_ns[-1] + 1):
-        ell = provider.length(i)
-        if ell < 0:
-            raise ValueError("lengths must be non-negative")
-        cumulative += ell
-        if idx < len(sample_ns) and i == sample_ns[idx]:
-            if not cumulative:
-                raise ValueError("log of non-positive value")
-            last_lengths[i] = ell
-            samples.append((i, cumulative, math.log(cumulative) / math.log(i)))
-            idx += 1
 
     tail = samples[-TAIL_POINTS:]
     xs = [1.0 / math.log(s[0]) for s in tail]
@@ -208,7 +263,7 @@ def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
 
     # per-degree growth ratio ell(Sym^n)^(1/n) at the last two samples
     def ratio(n: int) -> float:
-        ell = last_lengths[n]
+        ell = provider.length(n)
         return math.exp(math.log(ell) / n) if ell > 0 else 0.0
 
     r_last = ratio(samples[-1][0])

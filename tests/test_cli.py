@@ -259,6 +259,33 @@ class TestSgdCommands:
         assert out["result"]["classification"] == "polynomial"
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_binomial_m_below_one_exit_1(self, m, schema):
+        res = invoke("sgd", "estimate", "--provider", "binomial", "--m", m, "--nmax", "64")
+        assert res.exit_code == 1
+        out = payload(res)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "InvalidInput"
+        assert f"m={m}" in out["error"]["message"]
+
+    def test_negative_homdim_exit_2(self):
+        res = invoke("sgd", "diagnose", "--provider", "constant", "--homdim", "-3",
+                     "--nmax", "64")
+        assert res.exit_code == 2
+        assert "--homdim" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ("--provider", "binomial", "--m", "3", "--nmax", str(10**8)),
+        ("--provider", "sl2_sym", "-p", "2", "--nmax", str(2**64)),
+        ("--provider", "constant", "--nmax", str(2**64)),
+    ])
+    def test_closed_form_huge_nmax_answers_at_once(self, args, schema):
+        res = run_process("sgd", "estimate", *args)
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["result"]["classification"] == "polynomial"
+
     def test_diagnose_missing_provider_arg(self):
         res = invoke("sgd", "estimate", "--provider", "binomial")
         assert res.exit_code == 2

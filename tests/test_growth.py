@@ -14,8 +14,9 @@ from verlab import (
     sgd_estimate,
     sl2_sym_provider,
 )
+from verlab import growth
 from verlab.errors import MissingHomDim
-from verlab.growth import nabla_length_by_decomposition
+from verlab.growth import nabla_cumulative, nabla_length_by_decomposition
 
 
 def partitions_brute_force(n: int, max_part: int | None = None) -> int:
@@ -75,7 +76,96 @@ class TestPartitionCount:
             assert partition_count(n) == partitions_brute_force(n)
 
 
+def running_sums(length, n_stop):
+    """Oracle: [sum_{i<=n} length(i) for n < n_stop], one term at a time."""
+    sums, total = [], 0
+    for n in range(n_stop):
+        total += length(n)
+        sums.append(total)
+    return sums
+
+
+def shipped_providers(tmp_path):
+    path = tmp_path / "lengths.csv"
+    rows = ["n,length"] + [f"{n},{(n % 7) * n + 1}" for n in range(2**14 + 1)]
+    path.write_text("\n".join(rows) + "\n")
+    return [
+        *(binomial_provider(m) for m in range(1, 7)),
+        *(sl2_sym_provider(p) for p in (2, 3, 5, 7)),
+        constant_provider(),
+        partitions_provider(),
+        csv_provider(str(path)),
+    ]
+
+
+class TestCumulative:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_sl2_sym_prefix_recursion(self, p):
+        brute = running_sums(lambda n: nabla_length(p, n), 3000)
+        prov = sl2_sym_provider(p)
+        assert [prov.cumulative(n) for n in range(3000)] == brute
+        assert [nabla_cumulative(p, n) for n in range(3000)] == brute
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_binomial_hockey_stick(self, m):
+        prov = binomial_provider(m)
+        assert [prov.cumulative(n) for n in range(3000)] == running_sums(prov.length, 3000)
+
+    def test_constant(self):
+        prov = constant_provider()
+        assert [prov.cumulative(n) for n in range(3000)] == running_sums(prov.length, 3000)
+
+    def test_running_sum_default_resumes_and_restarts(self):
+        prov = LengthProvider(name="squares", length=lambda n: n * n)
+        brute = running_sums(prov.length, 200)
+        for n in (0, 5, 5, 100, 3, 199, 150):
+            assert prov.cumulative(n) == brute[n], n
+
+    def test_negative_length_rejected(self):
+        neg = LengthProvider(name="neg", length=lambda n: 1 if n < 10 else -1)
+        with pytest.raises(ValueError, match="lengths must be non-negative"):
+            sgd_estimate(neg, 16)
+
+    def test_csv_missing_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("n,length\n" + "\n".join(f"{n},1" for n in range(11)) + "\n")
+        with pytest.raises(ValueError, match="no row for n=11"):
+            sgd_estimate(csv_provider(str(path)), 16)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            nabla_cumulative(2, -1)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_binomial_m_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            binomial_provider(m)
+
+
 class TestSgdEstimate:
+    @pytest.mark.parametrize("n_max", [2**k for k in range(10, 15)])
+    def test_matches_length_only_provider(self, tmp_path, n_max):
+        """The running sum of ``length`` is the oracle for every cumulative."""
+        for prov in shipped_providers(tmp_path):
+            est = sgd_estimate(prov, n_max)
+            ref = sgd_estimate(LengthProvider(name="ref", length=prov.length), n_max)
+            assert est.samples == ref.samples, prov.name
+            assert est.final == ref.final, prov.name
+            assert est.classification == ref.classification, prov.name
+
+    def test_sl2_sym_memo_stays_logarithmic(self, monkeypatch):
+        monkeypatch.setattr(growth, "_LENGTHS", {})
+        monkeypatch.setattr(growth, "_PREFIX_SUMS", {})
+        sgd_estimate(sl2_sym_provider(2), 2**16)
+        assert len(growth._LENGTHS[2]) < 1000
+        assert len(growth._PREFIX_SUMS[2]) < 1000
+
+    def test_sl2_char2_exact_at_huge_n_max(self):
+        # samples at powers of p = 2 see no periodic factor, so the tail fit is exact
+        est = sgd_estimate(sl2_sym_provider(2), 2**64)
+        assert est.classification == "polynomial"
+        assert abs(est.final - math.log2(3)) < 1e-12
+
     def test_binomial_degrees(self):
         for m in range(1, 7):
             est = sgd_estimate(binomial_provider(m), 2**14)

@@ -14,9 +14,9 @@ _PUBLIC = {
     "errors": "",
     "characters": "Basis Character Decomposition decompose simple_char weyl_char",
     "tilting": "is_negligible tensor_decompose_tilt tilting_char",
-    "verpn": "Sym SymStatus VerpnSimple embed max_index odd_line steinberg_digits "
+    "verpn": "Sym SymStatus embed max_index odd_line steinberg_digits "
     "steinberg_product sym_power_status",
-    "fusion": "FusionElement clebsch_gordan_truncated dim_fp fpdim fuse gd_estimate "
+    "fusion": "FusionElement clebsch_gordan_truncated fpdim fuse gd_estimate "
     "verlinde_oracle",
     "padic": "FpSeries PadicDigits dimplus_from_series dimplus_of_finite_sym extension_series "
     "extension_transform frobenius_palindromy_check one_minus_t_pow one_minus_t_pow_int "

@@ -262,7 +262,7 @@ def verpn_digits(p: int, n: int, i: int) -> list:
 @click.option("-n", type=int, required=True)
 @click.option("--digits", required=True, callback=_int_list_option, help="comma-separated")
 def verpn_product(p: int, n: int, digits: list[int]) -> int:
-    return verpn.steinberg_product(p, n, digits).index
+    return verpn.steinberg_product(p, n, digits)
 
 
 @command(verpn_group, "embed", "index multiplies by p one level up")

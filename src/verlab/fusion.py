@@ -117,12 +117,6 @@ def verlinde_oracle(p: int, a: int, b: int, c: int) -> int:
     return int(rounded)
 
 
-def dim_fp(p: int, a: int) -> int:
-    """Categorical dimension of L_a as a residue mod p."""
-    check_index(p, 1, a)
-    return (a + 1) % p
-
-
 def fusion_matrix(p: int, a: int) -> list[list[int]]:
     """Matrix of fusion with L_a: entry [b][c] = N_{ab}^c."""
     check_index(p, 1, a)

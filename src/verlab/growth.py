@@ -14,16 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .characters import Basis, decompose, weyl_char
+from .characters import Basis, base_p_digits, decompose, weyl_char
 from .errors import MissingHomDim, require_prime
 
 
 # -- length engines -------------------------------------------------------
-
-# per prime p, the lengths computed so far, seeded with ell(0) and ell(-1)
-_LENGTHS: dict[int, dict[int, int]] = {}
-# per prime p, the prefix sums S(n) = sum_{i<n} ell(i) computed so far
-_PREFIX_SUMS: dict[int, dict[int, int]] = {}
 
 
 def nabla_length_by_decomposition(p: int, m: int) -> int:
@@ -34,18 +29,18 @@ def nabla_length_by_decomposition(p: int, m: int) -> int:
 def nabla_length(p: int, m: int) -> int:
     """Composition length of the dual Weyl module of highest weight m.
 
-    One memoized recursion on the base-p digits serves every prime: with
+    A recursion on the base-p digits serves every prime: with
     m = p*b + a and 0 <= a <= p-1, ell(m) = ell(b) when a = p-1 and
     ell(m) = ell(b) + ell(b-1) otherwise, from ell(0) = 1 and ell(-1) = 0.
     For a <= p-2, nabla(m) has a two-step filtration with pieces
     L(a) (x) nabla(b)^[1] and L(p-2-a) (x) nabla(b-1)^[1]; for a = p-1 it is
     St (x) nabla(b)^[1]; Steinberg's theorem keeps each twisted product of
-    simples simple.  The test suite checks the recursion against
-    ``nabla_length_by_decomposition``.
+    simples simple.  ``_digit_walk`` runs the recursion from the top digit
+    down; the test suite checks it against ``nabla_length_by_decomposition``.
     """
     if m < 0:
         raise ValueError("highest weight must be non-negative")
-    return _nabla_length(_length_table(p), p, m)
+    return _digit_walk(p, m)[0]
 
 
 def nabla_cumulative(p: int, n: int) -> int:
@@ -54,44 +49,29 @@ def nabla_cumulative(p: int, n: int) -> int:
     With S(n) = sum_{i<n} ell(i), summing the digit recursion of
     ``nabla_length`` over whole blocks of p weights gives
     S(pq + r) = p*S(q) + (p-1)*S(q-1) + r*(ell(q) + ell(q-1)) for
-    0 <= r <= p-1, from S(0) = S(-1) = 0.  The sum is S(n + 1); memoized
-    per p, it touches O(log n) prefix sums and lengths.
+    0 <= r <= p-1, from S(0) = S(-1) = 0.  The sum is S(n) + ell(n), both
+    read off one ``_digit_walk`` in O(log n) steps.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    lengths = _length_table(p)
-    sums = _PREFIX_SUMS.setdefault(p, {0: 0, -1: 0})
-    return _prefix_sum(sums, lengths, p, n + 1)
+    ell, s = _digit_walk(p, n)
+    return s + ell
 
 
-def _length_table(p: int) -> dict[int, int]:
-    table = _LENGTHS.get(p)
-    if table is None:
-        require_prime(p)
-        table = _LENGTHS[p] = {0: 1, -1: 0}
-    return table
+def _digit_walk(p: int, n: int) -> tuple[int, int]:
+    """(ell(n), S(n)) from one pass over the base-p digits of n, top first.
 
-
-def _nabla_length(table: dict[int, int], p: int, m: int) -> int:
-    val = table.get(m)
-    if val is None:
-        b, a = divmod(m, p)
-        val = _nabla_length(table, p, b)
-        if a != p - 1:
-            val += _nabla_length(table, p, b - 1)
-        table[m] = val
-    return val
-
-
-def _prefix_sum(sums: dict[int, int], lengths: dict[int, int], p: int, n: int) -> int:
-    val = sums.get(n)
-    if val is None:
-        q, r = divmod(n, p)
-        val = p * _prefix_sum(sums, lengths, p, q) + (p - 1) * _prefix_sum(sums, lengths, p, q - 1)
-        if r:
-            val += r * (_nabla_length(lengths, p, q) + _nabla_length(lengths, p, q - 1))
-        sums[n] = val
-    return val
+    The state at q is ell(q), ell(q-1), S(q), S(q-1); appending the digit r
+    moves it to pq + r by the recursions of ``nabla_length`` and
+    ``nabla_cumulative``.  The weight before pq + r is pq + r - 1, whose
+    last digit is r - 1 when r >= 1 and p - 1 (over q - 1) when r = 0.
+    """
+    ell, prev, s, s_prev = 1, 0, 0, 0
+    for r in reversed(base_p_digits(n, p)):
+        s = p * s + (p - 1) * s_prev + r * (ell + prev)
+        ell, prev = (ell + prev if r != p - 1 else ell), (ell + prev if r else prev)
+        s_prev = s - prev
+    return ell, s
 
 
 _PARTITIONS: list[int] = [1]

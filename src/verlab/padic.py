@@ -55,17 +55,6 @@ def padic_of_int(x: int, p: int, m: int) -> PadicDigits:
     return PadicDigits(p, tuple(base_p_digits(x % p**m, p, m)))
 
 
-def padic_add(a: PadicDigits, b: PadicDigits) -> PadicDigits:
-    if a.p != b.p:
-        raise ValueError("mismatched primes")
-    m = min(a.precision, b.precision)
-    return padic_of_int(a.to_int() + b.to_int(), a.p, m)
-
-
-def padic_add_int(a: PadicDigits, k: int) -> PadicDigits:
-    return padic_of_int(a.to_int() + k, a.p, a.precision)
-
-
 def padic_neg(a: PadicDigits) -> PadicDigits:
     return padic_of_int(-a.to_int(), a.p, a.precision)
 
@@ -101,20 +90,6 @@ class FpSeries:
                 out[i + j] += a * b
         return FpSeries(self.p, tuple(out))
 
-    def value_at_one(self) -> int:
-        return sum(self.coeffs) % self.p
-
-    def degree(self) -> int:
-        """Degree as a polynomial (top nonzero coefficient index), -1 if 0."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
-
-def fp_one(p: int, n: int) -> FpSeries:
-    return FpSeries(p, (1,) + (0,) * n)
-
 
 def _one_minus_tk_pow(p: int, n: int, k: int, e: int) -> FpSeries:
     """(1 - t^k)^e truncated at t^n, for e >= 0, from the binomials C(e, i)."""
@@ -137,7 +112,7 @@ def one_minus_t_pow(d: PadicDigits, n: int = DEFAULT_TRUNCATION) -> FpSeries:
         raise InsufficientPrecision(
             f"p^M = {p**d.precision} <= N = {n}: not enough digits"
         )
-    out = fp_one(p, n)
+    out = FpSeries(p, (1,) + (0,) * n)
     for j, dj in enumerate(d.digits):
         if p**j > n:
             break
@@ -223,7 +198,7 @@ def extension_transform(
         if isinstance(d, PadicDigits):
             if d.p != p:
                 raise ValueError("mismatched primes")
-            return padic_add_int(d, k)
+            return padic_of_int(d.to_int() + k, p, d.precision)
         return d + k
 
     return shift(dimplus_v, 1 - nlen), shift(dimplus_v_dual, 1)

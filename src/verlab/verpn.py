@@ -32,16 +32,6 @@ def check_index(p: int, n: int, i: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class VerpnSimple:
-    p: int
-    n: int
-    index: int
-
-    def __post_init__(self) -> None:
-        check_index(self.p, self.n, self.index)
-
-
 def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:
     """Base-p digits of i, most significant first, n digits.
 
@@ -51,8 +41,8 @@ def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:
     return tuple(reversed(base_p_digits(i, p, n)))
 
 
-def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> VerpnSimple:
-    """Simple object with index sum_j p^{n-j} i_j; inverse of the digit map."""
+def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> int:
+    """Index sum_j p^{n-j} i_j of the simple object; inverse of the digit map."""
     max_index(p, n)  # p and n >= 1 before any digit is read
     digits = tuple(digits)
     if len(digits) != n:
@@ -62,7 +52,7 @@ def steinberg_product(p: int, n: int, digits: tuple[int, ...] | list[int]) -> Ve
             raise DigitOutOfRange(f"digit {d} outside [0, {p - 1}]")
     if digits[0] > p - 2:
         raise DigitOutOfRange(f"leading digit {digits[0]} exceeds {p - 2}")
-    return VerpnSimple(p, n, sum(d * p**j for j, d in enumerate(reversed(digits))))
+    return sum(d * p**j for j, d in enumerate(reversed(digits)))
 
 
 def embed(p: int, n: int, i: int) -> int:
@@ -110,7 +100,6 @@ def _load_fact_file() -> dict:
 _FACT_FILE = _load_fact_file()
 FACTS = tuple(_FACT_FILE["facts"])
 UNIT_SUMMAND_FACTS = tuple(_FACT_FILE["unit_summand_facts"])
-COMMENTS = tuple(_FACT_FILE["comments"])
 
 
 def _vanishing_bounds(p: int, n: int, i: int) -> list[tuple[int, str]]:

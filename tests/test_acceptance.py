@@ -30,7 +30,7 @@ from verlab import (
     weyl_char,
 )
 from verlab.characters import Basis, decompose
-from verlab.padic import padic_add, recoverable_digits
+from verlab.padic import padic_of_int, recoverable_digits
 
 PRIMES_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -58,8 +58,9 @@ def test_criterion_2_dimplus_l1():
         assert dimplus_of_finite_sym(dmax, p) == 2 - p**n
         if dmax >= 1:
             series = one_minus_t_pow_int(dmax, p, dmax)
-            assert series.degree() == dmax
-            assert series.value_at_one() == 0
+            # degree dmax (top nonzero coefficient) and value 0 at t = 1
+            assert max(i for i, c in enumerate(series.coeffs) if c) == dmax
+            assert sum(series.coeffs) % p == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(2, f"Dim+ of the generator is 2 - p^n for {len(cases)} levels in {elapsed:.3f}s")
@@ -138,9 +139,10 @@ def test_criterion_6_vanishing_kb_fidelity():
     # level-9 facts
     assert sym_power_status(3, 2, 4, 2).status is Sym.IS_UNIT
     assert sym_power_status(3, 2, 4, 3).status is Sym.ZERO
-    from verlab.verpn import COMMENTS
+    from verlab.verpn import _load_fact_file
 
-    recorded = {(c.get("p"), c.get("n"), c.get("index"), c.get("power")) for c in COMMENTS}
+    comments = _load_fact_file()["comments"]
+    recorded = {(c.get("p"), c.get("n"), c.get("index"), c.get("power")) for c in comments}
     assert (3, 2, 1, 2) in recorded and (3, 2, 5, 2) in recorded
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -160,7 +162,8 @@ def test_criterion_7_series_roundtrips():
             a = PadicDigits(p, tuple(rng.randrange(p) for _ in range(m)))
             b = PadicDigits(p, tuple(rng.randrange(p) for _ in range(m)))
             lhs = one_minus_t_pow(a, 64) * one_minus_t_pow(b, 64)
-            assert lhs.coeffs == one_minus_t_pow(padic_add(a, b), 64).coeffs
+            ab = padic_of_int(a.to_int() + b.to_int(), p, m)
+            assert lhs.coeffs == one_minus_t_pow(ab, 64).coeffs
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(7, f"300 roundtrips and 600 homomorphism pairs exact in {elapsed:.2f}s")

@@ -6,7 +6,6 @@ import pytest
 from verlab import (
     FusionElement,
     clebsch_gordan_truncated,
-    dim_fp,
     fpdim,
     fuse,
     gd_estimate,
@@ -145,19 +144,19 @@ class TestIteratedProductsOracle:
 
 
 class TestDimFp:
+    """The categorical dimension of L_a in Ver_p is a + 1 mod p."""
+
     def test_examples(self):
-        assert dim_fp(5, 3) == 4
-        assert dim_fp(7, 0) == 1
-        assert dim_fp(3, 1) == 2
+        # for a <= p - 1, L_a is the Weyl module, of dimension a + 1
+        for p, a, dim in ((5, 3, 4), (7, 0, 1), (3, 1, 2)):
+            assert simple_char(p, a).dimension() % p == dim
 
     def test_ring_homomorphism(self):
         for p in SMALL_PRIMES:
             for a in range(p - 1):
                 for b in range(p - 1):
-                    lhs = sum(
-                        n * dim_fp(p, c) for c, n in fuse(p, a, b).mults.items()
-                    ) % p
-                    assert lhs == dim_fp(p, a) * dim_fp(p, b) % p
+                    lhs = sum(n * (c + 1) for c, n in fuse(p, a, b).mults.items()) % p
+                    assert lhs == (a + 1) * (b + 1) % p
 
 
 class TestFpdim:

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 
 import pytest
 
@@ -14,7 +16,6 @@ from verlab import (
     sgd_estimate,
     sl2_sym_provider,
 )
-from verlab import growth
 from verlab.errors import MissingHomDim
 from verlab.growth import nabla_cumulative, nabla_length_by_decomposition
 
@@ -32,6 +33,29 @@ def partitions_brute_force(n: int, max_part: int | None = None) -> int:
     )
 
 
+def digit_recursion_oracle(p: int):
+    """ell and S(n) = sum_{i<n} ell(i) from their defining recursions on n = p*q + r."""
+
+    @functools.lru_cache(maxsize=None)
+    def ell(m: int) -> int:
+        if m <= 0:
+            return m + 1  # ell(0) = 1, ell(-1) = 0
+        q, r = divmod(m, p)
+        return ell(q) + (ell(q - 1) if r != p - 1 else 0)
+
+    @functools.lru_cache(maxsize=None)
+    def prefix(n: int) -> int:
+        if n <= 0:
+            return 0  # S(0) = S(-1) = 0
+        q, r = divmod(n, p)
+        return p * prefix(q) + (p - 1) * prefix(q - 1) + r * (ell(q) + ell(q - 1))
+
+    return ell, prefix
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 31, 61)
+
+
 class TestNablaLength:
     def test_examples(self):
         assert nabla_length(2, 4) == 3
@@ -44,6 +68,14 @@ class TestNablaLength:
         for n in range(1, 4097):
             assert values[2 * n] == values[n] + values[n - 1]
             assert values[2 * n + 1] == values[n]
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_digit_recursion_oracle_at_large_m(self, p):
+        ell, _ = digit_recursion_oracle(p)
+        rng = random.Random(p)
+        for _ in range(200):
+            m = rng.randrange(2**200)
+            assert nabla_length(p, m) == ell(m), (p, m)
 
     def test_recursion_agrees_with_decomposition(self):
         for p in (2, 3, 5, 7, 11, 13):
@@ -106,6 +138,20 @@ class TestCumulative:
         assert [prov.cumulative(n) for n in range(3000)] == brute
         assert [nabla_cumulative(p, n) for n in range(3000)] == brute
 
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_prefix_recursion_oracle_at_large_n(self, p):
+        ell, prefix = digit_recursion_oracle(p)
+        rng = random.Random(p)
+        for _ in range(200):
+            n = rng.randrange(2**200)
+            assert nabla_cumulative(p, n) == prefix(n) + ell(n), (p, n)
+
+    def test_deep_inputs(self):
+        # 1501 base-2 digits: deeper than the interpreter's recursion limit
+        assert nabla_length(2, 2**1500) == 1501
+        # sum_{i < 2^k} ell(i) = (3^k + 1) / 2 in characteristic 2
+        assert nabla_cumulative(2, 2**1500 - 1) == (3**1500 + 1) // 2
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_binomial_hockey_stick(self, m):
         prov = binomial_provider(m)
@@ -152,13 +198,6 @@ class TestSgdEstimate:
             assert est.samples == ref.samples, prov.name
             assert est.final == ref.final, prov.name
             assert est.classification == ref.classification, prov.name
-
-    def test_sl2_sym_memo_stays_logarithmic(self, monkeypatch):
-        monkeypatch.setattr(growth, "_LENGTHS", {})
-        monkeypatch.setattr(growth, "_PREFIX_SUMS", {})
-        sgd_estimate(sl2_sym_provider(2), 2**16)
-        assert len(growth._LENGTHS[2]) < 1000
-        assert len(growth._PREFIX_SUMS[2]) < 1000
 
     def test_sl2_char2_exact_at_huge_n_max(self):
         # samples at powers of p = 2 see no periodic factor, so the tail fit is exact

@@ -316,7 +316,7 @@ def padic_pow(p: int, exp: int, prec: int) -> dict:
     return _render_series(padic.one_minus_t_pow_int(exp, p, prec))
 
 
-@command(padic_group, "recover", "digit-read recovery with a divisibility certificate per level")
+@command(padic_group, "recover", "digits read at t^(p^j), certified by re-expansion")
 @click.option("-p", type=int, required=True)
 @click.option(
     "--series", required=True, callback=_int_array_option, help="JSON array of residues"

@@ -241,10 +241,11 @@ def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
     final = ybar - slope * xbar
 
-    # per-degree growth ratio ell(Sym^n)^(1/n) at the last two samples
+    # per-degree growth ratio ell(Sym^n)^(1/n) at the last two samples; 1 / n
+    # divides ints, so n past the float range does not overflow
     def ratio(n: int) -> float:
         ell = provider.length(n)
-        return math.exp(math.log(ell) / n) if ell > 0 else 0.0
+        return math.exp(math.log(ell) * (1 / n)) if ell > 0 else 0.0
 
     r_last = ratio(samples[-1][0])
     r_prev = ratio(samples[-2][0])

@@ -3,13 +3,13 @@
 The central identity: the Hilbert series of a symmetric algebra is
 (1-t)^{-D} for a p-adic integer D, where (1-t)^d for d in Z_p is defined
 digitwise as the product over j of (1 - t^{p^j})^{d_j}.  This module
-expands that product, recovers the exponent from a series by reading one
-digit per p-adic level, and implements the finite-symmetric-algebra rule
-and the extension transform.
+expands that product one digit block at a time (Lucas's theorem), recovers
+the exponent from a series by reading digit j at t^{p^j} and certifying it
+by re-expansion, and implements the finite-symmetric-algebra rule and the
+extension transform.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,19 +91,15 @@ class FpSeries:
         return FpSeries(self.p, tuple(out))
 
 
-def _one_minus_tk_pow(p: int, n: int, k: int, e: int) -> FpSeries:
-    """(1 - t^k)^e truncated at t^n, for e >= 0, from the binomials C(e, i)."""
-    out = [0] * (n + 1)
-    for i in range(min(e, n // k) + 1):
-        out[k * i] = (-1) ** i * math.comb(e, i)
-    return FpSeries(p, tuple(out))
-
-
 def one_minus_t_pow(d: PadicDigits, n: int = DEFAULT_TRUNCATION) -> FpSeries:
     """Digit-product expansion of (1-t)^d truncated at t^N.
 
     Factor j contributes only for p^j <= N; the precision must satisfy
-    p^M > N so that all contributing digits are known.
+    p^M > N so that all contributing digits are known.  By Lucas's theorem
+    the t^k coefficient is the product over j of (-1)^{k_j} C(d_j, k_j)
+    for the base-p digits k_j of k, so the coefficients of t^0..t^{p^{j+1}-1}
+    are the block of factor j spread over those of t^0..t^{p^j-1}.  Only
+    the last block is cut short, and it still reaches t^N.
     """
     if n < 0:
         raise ValueError(f"truncation N = {n} must be >= 0")
@@ -112,13 +108,13 @@ def one_minus_t_pow(d: PadicDigits, n: int = DEFAULT_TRUNCATION) -> FpSeries:
         raise InsufficientPrecision(
             f"p^M = {p**d.precision} <= N = {n}: not enough digits"
         )
-    out = FpSeries(p, (1,) + (0,) * n)
+    coeffs = [1]
     for j, dj in enumerate(d.digits):
         if p**j > n:
             break
-        if dj:
-            out = out * _one_minus_tk_pow(p, n, p**j, dj)
-    return out
+        block = [(-1) ** i * math.comb(dj, i) % p for i in range(min(p, n // p**j + 1))]
+        coeffs = [b * c % p for b in block for c in coeffs]
+    return FpSeries(p, tuple(coeffs[: n + 1]))
 
 
 def one_minus_t_pow_int(x: int, p: int, n: int = DEFAULT_TRUNCATION) -> FpSeries:
@@ -137,28 +133,27 @@ def recoverable_digits(p: int, n: int) -> int:
 def dimplus_from_series(s: FpSeries) -> PadicDigits:
     """Recover e with s = (1-t)^e; the p-adic dimension is then -e.
 
-    One digit per p-adic level, read off the series: only the factor
-    (1-t)^{e_0} reaches t^1, so the t^1 coefficient is -e_0.  Then
-    s * (1-t)^{p-e_0} must be a series in t^p (using (1-t)^p = 1-t^p over
-    F_p); divide out 1-t^p, compress, recurse.  This divisibility check is
-    the certificate: any failure means the input is not a pure power.
+    Only the factor (1 - t^{p^j})^{e_j} reaches t^{p^j}, so digit j is minus
+    the t^{p^j} coefficient, for every p^j <= N.  Re-expanding (1-t)^e and
+    comparing it with s is the certificate: the first coefficient t^k that
+    differs means the input is not a pure power, and its level (the number
+    of base-p digits of k, minus 1) is reported.
     """
     p = s.p
     if not s.coeffs or s.coeffs[0] != 1:
         raise NotAPurePower("series must have constant term 1")
-    cur = s
+    n = s.truncation
     digits: list[int] = []
-    while cur.truncation >= 1:
-        d0 = -cur.coeffs[1] % p
-        w = (cur * _one_minus_tk_pow(p, cur.truncation, 1, p - d0)).coeffs
-        if any(c for k, c in enumerate(w) if k % p):
-            raise NotAPurePower(
-                f"no digit yields divisibility at level {len(digits)}"
-            )
-        # divide by 1 - t^p, i.e. by 1 - s in compressed coordinates
-        cur = FpSeries(p, tuple(itertools.accumulate(w[::p])))
-        digits.append(d0)
-    return PadicDigits(p, tuple(digits))
+    while p ** len(digits) <= n:
+        digits.append(-s.coeffs[p ** len(digits)] % p)
+    e = PadicDigits(p, tuple(digits))
+    expanded = one_minus_t_pow(e, n)
+    if expanded != s:
+        k = next(k for k, (a, b) in enumerate(zip(expanded.coeffs, s.coeffs)) if a != b)
+        raise NotAPurePower(
+            f"t^{k} differs from (1-t)^e at level {len(base_p_digits(k, p)) - 1}"
+        )
+    return e
 
 
 def dimplus_of_finite_sym(dmax: int, p: int | None = None) -> int:

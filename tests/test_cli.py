@@ -286,6 +286,20 @@ class TestSgdCommands:
         jsonschema.validate(out, schema)
         assert out["result"]["classification"] == "polynomial"
 
+    @pytest.mark.parametrize("provider", [
+        ("--provider", "binomial", "--m", "3"),
+        ("--provider", "sl2_sym", "-p", "2"),
+        ("--provider", "constant"),
+    ])
+    def test_closed_form_nmax_past_float_range(self, provider, schema):
+        # samples past 2^1024 do not fit a float; the growth ratio divides 1 by
+        # n as ints, so they must not raise OverflowError
+        res = run_process("sgd", "estimate", *provider, "--nmax", str(2**1100))
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["result"]["classification"] == "polynomial"
+
     def test_diagnose_missing_provider_arg(self):
         res = invoke("sgd", "estimate", "--provider", "binomial")
         assert res.exit_code == 2

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from verlab.errors import (
     NotAPurePower,
     NotPPower,
 )
-from verlab.padic import _one_minus_tk_pow, padic_neg, recoverable_digits
+from verlab.padic import padic_neg, recoverable_digits
 
 
 def schoolbook_product(a: FpSeries, b: FpSeries) -> FpSeries:
@@ -51,19 +53,22 @@ class TestSeriesProduct:
                 )
                 assert (a * b).coeffs == schoolbook_product(a, b).coeffs
 
-    def test_one_minus_tk_pow_matches_repeated_product(self):
+    def test_one_minus_t_pow_matches_repeated_product(self):
+        # (1-t)^d as the product of d_j factors 1 - t^{p^j} for every p^j <= N
         for p in (2, 3, 5, 7):
-            for n in (0, 1, p, 3 * p + 1, 30):
-                for k in (1, 2, p, p * p):
-                    base = [0] * (n + 1)
-                    base[0] = 1
-                    if k <= n:
-                        base[k] = p - 1
-                    factor = FpSeries(p, tuple(base))
+            for n in (0, 1, p, 3 * p + 1, 30, p**3 + 2):
+                m = recoverable_digits(p, n)
+                for x in range(-2 * p * p, 2 * p * p):
+                    d = padic_of_int(x, p, m)
                     expected = FpSeries(p, (1,) + (0,) * n)
-                    for e in range(p + 1):
-                        assert _one_minus_tk_pow(p, n, k, e) == expected, (p, n, k, e)
-                        expected = expected * factor
+                    for j, dj in enumerate(d.digits):
+                        if p**j > n:
+                            break
+                        factor = [0] * (n + 1)
+                        factor[0], factor[p**j] = 1, p - 1
+                        for _ in range(dj):
+                            expected = expected * FpSeries(p, tuple(factor))
+                    assert one_minus_t_pow(d, n) == expected, (p, n, x)
 
 
 class TestPadicOfInt:
@@ -118,14 +123,44 @@ class TestOneMinusTPow:
             one_minus_t_pow(padic_of_int(2, 3, 4), n)
 
     def test_integer_exponent_matches_binomials(self):
-        import math
-
         for p in (2, 3, 5):
             for d in (1, 2, 3, 7):
                 s = one_minus_t_pow_int(d, p, 20)
                 for i in range(21):
                     expected = ((-1) ** i * math.comb(d, i)) % p if i <= d else 0
                     assert s.coeffs[i] == expected
+
+
+def recover_by_divisibility(s: FpSeries) -> PadicDigits:
+    """Reference recovery, one p-adic level at a time.
+
+    Read d_0 = -s_1; then s * (1-t)^{p-d_0} must be a series in t^p
+    ((1-t)^p = 1-t^p over F_p); divide out 1-t^p, compress and recurse.
+    Any failed divisibility means s is not a pure power.
+    """
+    p = s.p
+    if not s.coeffs or s.coeffs[0] != 1:
+        raise NotAPurePower("series must have constant term 1")
+    cur = s
+    digits: list[int] = []
+    while cur.truncation >= 1:
+        d0 = -cur.coeffs[1] % p
+        factor = [(-1) ** i * math.comb(p - d0, i) for i in range(min(p - d0, cur.truncation) + 1)]
+        factor += [0] * (cur.truncation + 1 - len(factor))
+        w = (cur * FpSeries(p, tuple(factor))).coeffs
+        if any(c for k, c in enumerate(w) if k % p):
+            raise NotAPurePower(f"no digit yields divisibility at level {len(digits)}")
+        # divide by 1 - t^p, i.e. by 1 - s in compressed coordinates
+        cur = FpSeries(p, tuple(itertools.accumulate(w[::p])))
+        digits.append(d0)
+    return PadicDigits(p, tuple(digits))
+
+
+def recovery_outcome(recover, s: FpSeries):
+    try:
+        return recover(s).digits
+    except NotAPurePower:
+        return NotAPurePower
 
 
 class TestDimplusFromSeries:
@@ -154,11 +189,38 @@ class TestDimplusFromSeries:
             dimplus_from_series(FpSeries(3, (1, 0, 0, 1) + (0,) * 17))
 
     def test_roundtrip_against_padic_of_int(self):
-        for p, n in ((2, 2000), (3, 200), (7, 700), (31, 1000)):
+        for p, n in ((2, 2000), (2, 20000), (3, 200), (7, 700), (31, 1000)):
             m = recoverable_digits(p, n)
             for x in (0, 1, -1, p - 1, p, -p, 2 * p + 1, -6, 977, -12345):
                 series = one_minus_t_pow_int(x, p, n)
                 assert dimplus_from_series(series) == padic_of_int(x, p, m), (p, n, x)
+
+    def test_agrees_with_divisibility_on_random_series(self):
+        rng = random.Random(17)
+        for p in (2, 3, 5, 7, 31):
+            for _ in range(150):
+                n = rng.randrange(0, 3 * p + 40)
+                s = FpSeries(p, (1,) + tuple(rng.randrange(p) for _ in range(n)))
+                assert recovery_outcome(dimplus_from_series, s) == recovery_outcome(
+                    recover_by_divisibility, s
+                ), s
+
+    def test_agrees_with_divisibility_on_one_changed_coefficient(self):
+        # a changed coefficient can leave a pure power: 1 + t^2 = (1-t)^2 over F_2
+        rng = random.Random(23)
+        rejected = 0
+        for p in (2, 3, 5, 7, 31):
+            for _ in range(150):
+                n = rng.randrange(1, 3 * p + 120)
+                pure = one_minus_t_pow_int(rng.randrange(-10**6, 10**6), p, n)
+                assert dimplus_from_series(pure) == recover_by_divisibility(pure)
+                coeffs = list(pure.coeffs)
+                coeffs[rng.randrange(1, n + 1)] += rng.randrange(1, p)
+                s = FpSeries(p, tuple(coeffs))
+                outcome = recovery_outcome(recover_by_divisibility, s)
+                assert recovery_outcome(dimplus_from_series, s) == outcome, s
+                rejected += outcome is NotAPurePower
+        assert rejected > 600
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

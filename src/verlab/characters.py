@@ -8,7 +8,6 @@ is structural rather than checked.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -43,14 +42,6 @@ class Character:
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def top_weight(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero character has no top weight")
-        return max(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Character) and self._coeffs == other._coeffs
 
@@ -67,12 +58,6 @@ class Character:
         out = dict(self._coeffs)
         for w, c in other._coeffs.items():
             out[w] = out.get(w, 0) + c
-        return Character(out)
-
-    def __sub__(self, other: "Character") -> "Character":
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, 0) - c
         return Character(out)
 
     def scale(self, k: int) -> "Character":
@@ -101,19 +86,6 @@ class Character:
     def dimension(self) -> int:
         """Value at q = 1."""
         return sum(c * (1 if w == 0 else 2) for w, c in self._coeffs.items())
-
-    def quantum_dimension(self, p: int) -> float:
-        """Value at q = exp(i*pi/p); real since the polynomial is symmetric.
-
-        Values with magnitude below 1e-9 are snapped to exact zero.  The
-        fpdim certificate vector is this value on the simple characters.
-        """
-        val = 0.0
-        for w, c in self._coeffs.items():
-            val += c * (1.0 if w == 0 else 2.0 * math.cos(math.pi * w / p))
-        if abs(val) < 1e-9:
-            return 0.0
-        return val
 
 
 def weyl_char(m: int) -> Character:

@@ -179,6 +179,8 @@ def char_mul(a: dict, b: dict) -> dict:
 )
 @click.option("-p", type=int, default=None)
 def char_decompose(char: dict, basis: str, p: int | None) -> dict:
+    if p is None and basis != characters.Basis.WEYL.value:
+        raise click.UsageError(f"{basis} basis needs -p")
     dec = characters.decompose(_parse_character(char), characters.Basis(basis), p)
     return {"terms": {str(m): mult for m, mult in sorted(dec.terms.items())}}
 

@@ -11,7 +11,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .characters import simple_char
 from .errors import IndexOutOfRange, NumericalInstability, require_prime
 from .tilting import is_negligible, tensor_decompose_tilt
 from .verpn import check_index
@@ -44,9 +43,6 @@ class FusionElement:
     def mults(self) -> dict[int, int]:
         return dict(self._mults)
 
-    def length(self) -> int:
-        return sum(self._mults.values())
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FusionElement)
@@ -57,14 +53,6 @@ class FusionElement:
     def __repr__(self) -> str:
         items = ", ".join(f"L{i}: {m}" for i, m in sorted(self._mults.items()))
         return f"FusionElement(p={self.p}, {{{items}}})"
-
-    def __mul__(self, other: "FusionElement") -> "FusionElement":
-        out: dict[int, int] = {}
-        for a, ma in self._mults.items():
-            for b, mb in other._mults.items():
-                for c, n in fuse(self._p, a, b)._mults.items():
-                    out[c] = out.get(c, 0) + ma * mb * n
-        return FusionElement(self._p, out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,12 +119,13 @@ def fpdim(p: int, a: int) -> float:
     """Frobenius-Perron dimension of L_a, certified by Collatz-Wielandt.
 
     The candidate is the quantum dimension [a+1]_q, q = exp(i*pi/p), with
-    the strictly positive vector v_b = [b+1]_q.  For the nonnegative fusion
-    matrix M of L_a, min_b (Mv)_b / v_b <= rho(M) <= max_b (Mv)_b / v_b, so
-    both bounds within 1e-9 (relative) of [a+1]_q prove it is rho(M).
+    the strictly positive vector v_b = [b+1]_q = sin((b+1)pi/p) / sin(pi/p).
+    For the nonnegative fusion matrix M of L_a,
+    min_b (Mv)_b / v_b <= rho(M) <= max_b (Mv)_b / v_b, so both bounds
+    within 1e-9 (relative) of [a+1]_q prove it is rho(M).
     """
     check_index(p, 1, a)
-    v = [simple_char(p, b).quantum_dimension(p) for b in range(p - 1)]
+    v = [math.sin((b + 1) * math.pi / p) / math.sin(math.pi / p) for b in range(p - 1)]
     value = v[a]
     ratios = [
         sum(n * x for n, x in zip(row, v)) / v[b]
@@ -163,8 +152,9 @@ class GdEstimate:
 def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:
     """Growth dimension of x as the limit of ell(x^{(x)n})^(1/n).
 
-    Lengths are exact arbitrary-precision integers; the raw root sequence
-    is reported without extrapolation.
+    The multiplicities of x^{(x)n} advance one factor of x at a time over
+    the cached fusion rows.  Lengths are exact arbitrary-precision integers;
+    the raw root sequence is reported without extrapolation.
     """
     if p != x.p:
         raise ValueError(f"p = {p} does not match the element's p = {x.p}")
@@ -172,11 +162,16 @@ def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:
         raise ValueError("n_max must be >= 1")
     roots: list[float] = []
     lengths: list[int] = []
-    power = x
+    power = x._mults
     for n in range(1, n_max + 1):
         if n > 1:
-            power = power * x
-        ell = power.length()
+            step: dict[int, int] = {}
+            for a, ma in power.items():
+                for b, mb in x._mults.items():
+                    for c, k in fuse(p, a, b)._mults.items():
+                        step[c] = step.get(c, 0) + ma * mb * k
+            power = step
+        ell = sum(power.values())
         if not ell:
             raise ValueError("log of non-positive value")
         lengths.append(ell)

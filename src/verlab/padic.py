@@ -204,14 +204,18 @@ def extension_series(hs_v: FpSeries, nlen: int) -> FpSeries:
 
     HS_E = (1 + t + ... + t^{nlen-1}) * HS_V; since nlen is a power of p
     the prefactor equals (1-t)^{nlen-1}, so the digit-level shift by
-    1 - nlen agrees.
+    1 - nlen agrees.  The product is a running sum over a window of nlen
+    coefficients of HS_V.
     """
     p = hs_v.p
     if not is_p_power(nlen, p):
         raise NotPPower(f"nlen = {nlen} is not a power of p = {p}")
-    n = hs_v.truncation
-    pref = FpSeries(p, tuple(1 if i < nlen else 0 for i in range(n + 1)))
-    return pref * hs_v
+    hs = hs_v.coeffs
+    window, out = 0, []
+    for k, c in enumerate(hs):
+        window += c - (hs[k - nlen] if k >= nlen else 0)
+        out.append(window)
+    return FpSeries(p, tuple(out))
 
 
 def frobenius_palindromy_check(p: int, hs: list[int] | tuple[int, ...], d: int) -> bool:

@@ -18,6 +18,8 @@ from verlab.characters import base_p_digits
 from verlab.errors import NegativeCoefficient
 from verlab.padic import is_p_power, padic_of_int, recoverable_digits
 
+from oracles import char_sub, is_zero, quantum_dimension, top_weight
+
 SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
 # (p, m_limit): the digit formula is checked against the product for every m < m_limit.
 STEINBERG_RANGES = ((2, 2048), (3, 2000), (5, 2000), (7, 1500), (11, 1000))
@@ -164,7 +166,7 @@ class TestDecompose:
             c = Character()
             for w in range(parity, 10, 2):
                 c = c + weyl_char(w).scale(rng.randint(0, 3))
-            if c.is_zero():
+            if is_zero(c):
                 continue
             for basis, p in [(Basis.WEYL, None), (Basis.SIMPLE, 2), (Basis.SIMPLE, 3)]:
                 dec = decompose(c, basis, p)
@@ -177,7 +179,7 @@ class TestDecompose:
                 assert dec.reconstruct() == weyl_char(m)
 
     def test_negative_coefficient_raises(self):
-        bad = weyl_char(2) - weyl_char(0).scale(3)
+        bad = char_sub(weyl_char(2), weyl_char(0).scale(3))
         with pytest.raises(NegativeCoefficient):
             decompose(bad, Basis.WEYL)
 
@@ -186,8 +188,8 @@ class TestUnitriangularity:
     def test_simple_basis(self):
         for p in (2, 3, 5, 7):
             for m in range(60):
-                diff = simple_char(p, m) - weyl_char(m)
-                assert diff.is_zero() or diff.top_weight() < m
+                diff = char_sub(simple_char(p, m), weyl_char(m))
+                assert is_zero(diff) or top_weight(diff) < m
 
 
 class TestSpecialize:
@@ -197,7 +199,7 @@ class TestSpecialize:
     def test_root_of_unity(self):
         import math
 
-        val = weyl_char(1).quantum_dimension(5)
+        val = quantum_dimension(weyl_char(1), 5)
         assert abs(val - 2 * math.cos(math.pi / 5)) < 1e-12
 
     def test_mod_p(self):

@@ -123,6 +123,16 @@ class TestErrors:
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("args", [
+        ("char", "decompose", "--char", '{"2": 1}', "--basis", "simple"),
+        ("char", "decompose", "--char", '{"2": 1}', "--basis", "tilting"),
+        ("sgd", "estimate", "--provider", "sl2_sym", "--nmax", "16"),
+    ])
+    def test_missing_p_usage_error_exit_2(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 2
+        assert "needs -p" in res.output
+
+    @pytest.mark.parametrize("args", [
         ("char", "simple", "-p", "1", "-m", "5"),
         ("char", "simple", "-p", "0", "-m", "5"),
         ("padic", "pow", "-p", "1", "--exp", "3"),

@@ -15,6 +15,8 @@ from verlab import (
 from verlab import fusion
 from verlab.errors import IndexOutOfRange, NumericalInstability
 
+from oracles import fusion_product, quantum_dimension
+
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -99,15 +101,16 @@ class TestRingAxioms:
             cases = 500 if p > 3 else 50
             for _ in range(cases):
                 x, y, z = (rng.choice(simples) for _ in range(3))
-                assert (x * y).mults == (y * x).mults
-                assert ((x * y) * z).mults == (x * (y * z)).mults
+                xy = fusion_product(x, y)
+                assert xy.mults == fusion_product(y, x).mults
+                assert fusion_product(xy, z).mults == fusion_product(x, fusion_product(y, z)).mults
 
     def test_unit(self):
         for p in (3, 5, 7):
             one = FusionElement.simple(p, 0)
             for a in range(p - 1):
                 x = FusionElement.simple(p, a)
-                assert (one * x).mults == x.mults
+                assert fusion_product(one, x).mults == x.mults
 
     def test_self_duality(self):
         for p in SMALL_PRIMES:
@@ -119,14 +122,19 @@ class TestRingAxioms:
 
 class TestIteratedProductsOracle:
     @staticmethod
-    def oracle_lengths(p, a, n_max):
-        """Lengths of L_a^n from truncated-CG coefficients alone."""
+    def oracle_lengths(p, mults, n_max):
+        """Lengths of x^n, x = sum of mults[a] L_a, from truncated-CG coefficients alone."""
         labels = range(p - 1)
-        power = [1 if b == a else 0 for b in labels]
-        lengths = [1]
+        x = [mults.get(b, 0) for b in labels]
+        power = x
+        lengths = [sum(x)]
         for _ in range(n_max - 1):
             power = [
-                sum(power[b] * clebsch_gordan_truncated(p, b, a, c) for b in labels)
+                sum(
+                    power[b] * x[a] * clebsch_gordan_truncated(p, b, a, c)
+                    for b in labels
+                    for a in labels
+                )
                 for c in labels
             ]
             lengths.append(sum(power))
@@ -134,9 +142,10 @@ class TestIteratedProductsOracle:
 
     @pytest.mark.parametrize("p", [5, 7, 31])
     def test_gd_lengths_match_clebsch_gordan(self, p):
-        for a in sorted({1, 2, p - 3}):
-            est = gd_estimate(p, FusionElement.simple(p, a), 12)
-            assert est.lengths == self.oracle_lengths(p, a, 12)
+        # the simples L_1, L_2, L_{p-3} and the non-simple L_1 + 2 L_3
+        for x in [{a: 1} for a in sorted({1, 2, p - 3})] + [{1: 1, 3: 2}]:
+            est = gd_estimate(p, FusionElement(p, x), 12)
+            assert est.lengths == self.oracle_lengths(p, x, 12)
 
     def test_gd_zero_element_rejected(self):
         with pytest.raises(ValueError, match="log of non-positive value"):
@@ -171,9 +180,9 @@ class TestFpdim:
         assert abs(fpdim(3, 1) - 1.0) < 1e-10
 
     def test_matches_quantum_dimension(self):
-        for p in (5, 7, 11):
+        for p in (5, 7, 11, 31, 47, 61):
             for a in range(p - 1):
-                q = simple_char(p, a).quantum_dimension(p)
+                q = quantum_dimension(simple_char(p, a), p)
                 assert abs(fpdim(p, a) - q) < 1e-8
 
     def test_multiplicative_on_basis(self):

@@ -1,28 +1,33 @@
 """Command-line front door: every operation, machine-readable output.
 
-Each command is registered with ``@command(group, name, provenance)``; its
-body takes the parsed options and returns the result.  The helper adds
-``--json/--text`` (JSON is the default; ``--text`` prints one
-human-readable line), checks that ``-p``, when given, is prime, and builds
-every ``{command, inputs, result | error}`` envelope.  Click parses every
-option, so malformed input is a usage error (exit 2); domain errors, a
-non-prime ``-p`` among them, exit 1 with a machine-readable error object.
-The truncation for series commands defaults to 64 and can be overridden by
-``--prec`` or the VERLAB_PREC environment variable.  Layers load on first
-use (see ``verlab/__init__.py``), so a command runs only the layers it
-calls, and an option default that reads a layer is resolved at parse time.
+Each command is one registry entry, made with ``@command(group, name,
+provenance, *options)``; its body takes the parsed options and returns the
+result.  ``main`` builds the ``argparse`` parser of the one command that
+its first two arguments name, adds ``--json/--text`` (JSON is the default;
+``--text`` prints one human-readable line), checks that ``-p``, when
+given, is prime, and builds every ``{command, inputs, result | error}``
+envelope.  Malformed input is a usage error (exit 2, with a message on
+stderr that names the option); domain errors, a non-prime ``-p`` among
+them, exit 1 with a machine-readable error object.  Series commands
+truncate at 64 unless ``--prec`` or the VERLAB_PREC environment variable
+says otherwise.  Bodies reach the layers through their modules at call
+time, and layers load on first use (see ``verlab/__init__.py``), so a
+command runs only the layers it calls.
 """
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
 from typing import Any, Callable
 
-import click
-
 from . import characters, fusion, growth, padic, tilting, verpn
 from .errors import VerlabError, require_prime
+
+
+class UsageError(Exception):
+    """Options that parse but do not fit together: exit 2, as a parse error does."""
 
 
 def _is_weight_map(data: Any) -> bool:
@@ -38,30 +43,47 @@ def _is_int_array(data: Any) -> bool:
     return isinstance(data, list) and all(type(c) is int for c in data)
 
 
-def _json_option(shape: Callable[[Any], bool], what: str) -> Callable:
-    """Option callback: decode JSON text of the given shape, else a usage error."""
+def _option_type(
+    parse: Callable[[str], Any], ok: Callable[[Any], bool], what: str
+) -> Callable[[str], Any]:
+    """Option type: the text ``parse``d if that passes ``ok``, else a usage error."""
 
-    def decode(ctx: click.Context, param: click.Parameter, text: str) -> Any:
+    def convert(text: str) -> Any:
         try:
-            value = json.loads(text)
+            value = parse(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = None
-        if not shape(value):
-            raise click.BadParameter(f"expected {what}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
-    return decode
+    return convert
 
 
-_weight_map_option = _json_option(_is_weight_map, 'a JSON weight map like {"1": 1}')
-_int_array_option = _json_option(_is_int_array, "a JSON array of integers")
+_weight_map = _option_type(json.loads, _is_weight_map, 'a JSON weight map like {"1": 1}')
+_int_array = _option_type(json.loads, _is_int_array, "a JSON array of integers")
+_int_list = _option_type(
+    lambda text: [int(x) for x in text.split(",")], lambda ints: True,
+    "comma-separated integers",
+)
+_non_negative = _option_type(int, lambda n: n >= 0, "an integer >= 0")
 
 
-def _int_list_option(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
+def _readable_file(path: str) -> str:
     try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise click.BadParameter(f"expected comma-separated integers, got {text!r}") from None
+        with open(path, "rb"):
+            return path
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    """An option of ``command``: ``add_argument`` flags and keywords.
+
+    It is an int unless given a type, and required unless given a default; a
+    callable default is read when the command's parser is built.
+    """
+    return flags, {"type": int, "required": "default" not in kwargs, **kwargs}
 
 
 def _render_character(c: characters.Character) -> dict:
@@ -86,101 +108,134 @@ def _render_series(s: padic.FpSeries) -> dict:
     return {"p": s.p, "coeffs": list(s.coeffs), "truncation": s.truncation}
 
 
-def command(group: click.Group, name: str, provenance: str) -> Callable:
-    """Register the decorated body as ``group name`` inside the output envelope.
+_GROUPS = {
+    "char": "SL2 character-ring operations.",
+    "tilt": "Tilting tensor-product decompositions.",
+    "verp": "Level-p fusion ring operations.",
+    "verpn": "Level-p^n simple-object calculus.",
+    "padic": "F_p series and p-adic dimension arithmetic.",
+    "sgd": "Symmetric growth dimension estimation.",
+}
 
-    The body takes the parsed options and returns the result.  The helper
-    adds ``--json/--text``, checks that ``-p``, when given, is prime, and
-    prints ``{command, inputs, result, provenance}``; a domain error prints
-    ``{command, inputs, error}`` and exits 1.  ``inputs`` are the parsed
-    options.
+# (group, name) -> (provenance, option specs, body)
+_COMMANDS: dict[tuple[str, str], tuple[str, tuple, Callable[..., Any]]] = {}
+
+
+def command(group: str, name: str, provenance: str, *options: str | tuple) -> Callable:
+    """Register the decorated body as ``group name`` with these options.
+
+    An option is an ``_opt`` spec, or a bare flag for a required int.  The
+    body takes the parsed options and returns the result, which ``main``
+    prints inside ``{command, inputs, result, provenance}``; ``inputs`` are
+    the parsed options.  A body that raises ``UsageError`` exits 2.
     """
+    specs = tuple(_opt(o) if isinstance(o, str) else o for o in options)
 
-    def register(body: Callable[..., Any]) -> click.Command:
-        @functools.wraps(body)
-        def run(as_json: bool, **inputs: Any) -> None:
-            payload = {"command": f"{group.name}.{name}", "inputs": inputs}
-            try:
-                if inputs.get("p") is not None:
-                    require_prime(inputs["p"])
-                payload.update(result=body(**inputs), provenance=provenance)
-            except (VerlabError, ValueError) as exc:
-                error = exc.name if isinstance(exc, VerlabError) else "InvalidInput"
-                payload["error"] = {"name": error, "message": str(exc)}
-                click.echo(json.dumps(payload, sort_keys=True))
-                sys.exit(1)
-            if as_json:
-                click.echo(json.dumps(payload, sort_keys=True))
-            else:
-                result = json.dumps(payload["result"], sort_keys=True)
-                click.echo(f"{payload['command']}: {result}")
-
-        cmd = group.command(name)(run)
-        cmd.params.append(
-            click.Option(
-                ["--json/--text", "as_json"],
-                default=True,
-                help="machine-readable JSON (default) or a human-readable line",
-            )
-        )
-        return cmd
+    def register(body: Callable[..., Any]) -> Callable[..., Any]:
+        _COMMANDS[group, name] = (provenance, specs, body)
+        return body
 
     return register
 
 
-@click.group()
-def main() -> None:
-    """Exact invariants of modular SL2 and Verlinde-category data."""
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command that ``args`` (default ``sys.argv[1:]``) names, or list commands."""
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "verlab"
+    if tuple(args[:2]) not in _COMMANDS:
+        _list_commands(prog, args)
+    group, name = args[:2]
+    provenance, options, body = _COMMANDS[group, name]
+    parser = argparse.ArgumentParser(
+        prog=f"{prog} {group} {name}", description=provenance, allow_abbrev=False
+    )
+    for flags, kwargs in options:
+        if callable(kwargs.get("default")):
+            kwargs = {**kwargs, "default": kwargs["default"]()}
+        parser.add_argument(*flags, **kwargs)
+    parser.add_argument(
+        "--json", dest="as_json", action="store_true", default=True,
+        help="machine-readable JSON (the default)",
+    )
+    parser.add_argument(
+        "--text", dest="as_json", action="store_false", help="one human-readable line"
+    )
+    takes_value = {flag for flags, _ in options for flag in flags}
+    words, argv = iter(args[2:]), []
+    for word in words:
+        # an option's value is the next word, even "-1,2", which argparse takes for an option
+        argv.append(f"{word}={next(words, '')}" if word in takes_value else word)
+    inputs = vars(parser.parse_args(argv))
+    as_json = inputs.pop("as_json")
+    payload = {"command": f"{group}.{name}", "inputs": inputs}
+    try:
+        if inputs.get("p") is not None:
+            require_prime(inputs["p"])
+        payload.update(result=body(**inputs), provenance=provenance)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except (VerlabError, ValueError) as exc:
+        error = exc.name if isinstance(exc, VerlabError) else "InvalidInput"
+        payload["error"] = {"name": error, "message": str(exc)}
+        print(json.dumps(payload, sort_keys=True))
+        sys.exit(1)
+    if as_json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(f"{payload['command']}: {json.dumps(payload['result'], sort_keys=True)}")
+
+
+def _list_commands(prog: str, args: list[str]) -> None:
+    """Help (exit 0) or a usage error (exit 2) for arguments that name no command."""
+    description, names = "Exact invariants of modular SL2 and Verlinde-category data.", _GROUPS
+    if args and args[0] in _GROUPS:
+        prog, description = f"{prog} {args[0]}", _GROUPS[args[0]]
+        names = {n: prov for (g, n), (prov, _, _) in _COMMANDS.items() if g == args[0]}
+        args = args[1:]
+    parser = argparse.ArgumentParser(prog=prog, description=description, allow_abbrev=False)
+    choices = parser.add_subparsers(dest="choice", metavar="COMMAND", required=True)
+    for name, help_text in names.items():
+        choices.add_parser(name, help=help_text)
+    parser.parse_args(args)
+    parser.error("the group and the command come before any option")
 
 
 # -- char -----------------------------------------------------------------
 
 
-@main.group()
-def char() -> None:
-    """SL2 character-ring operations."""
-
-
-@command(char, "weyl", "quantum integer [m+1]_q")
-@click.option("-m", type=int, required=True)
+@command("char", "weyl", "quantum integer [m+1]_q", "-m")
 def char_weyl(m: int) -> dict:
     return _render_character(characters.weyl_char(m))
 
 
-@command(char, "simple", "Steinberg weights from the base-p digits of m")
-@click.option("-p", type=int, required=True)
-@click.option("-m", type=int, required=True)
+@command("char", "simple", "Steinberg weights from the base-p digits of m", "-p", "-m")
 def char_simple(p: int, m: int) -> dict:
     return _render_character(characters.simple_char(p, m))
 
 
-@command(char, "tilt", "Weyl factors from the base-p digits of m+1")
-@click.option("-p", type=int, required=True)
-@click.option("-m", type=int, required=True)
+@command("char", "tilt", "Weyl factors from the base-p digits of m+1", "-p", "-m")
 def char_tilt(p: int, m: int) -> dict:
     return _render_character(tilting.tilting_char(p, m))
 
 
-@command(char, "mul", "Laurent convolution, refolded")
-@click.option(
-    "--a", required=True, callback=_weight_map_option, help='folded weight map, e.g. {"1": 1}'
+@command(
+    "char", "mul", "Laurent convolution, refolded",
+    _opt("--a", type=_weight_map, help='folded weight map, e.g. {"1": 1}'),
+    _opt("--b", type=_weight_map),
 )
-@click.option("--b", required=True, callback=_weight_map_option)
 def char_mul(a: dict, b: dict) -> dict:
     return _render_character(_parse_character(a) * _parse_character(b))
 
 
-@command(char, "decompose", "greedy unitriangular peeling")
-@click.option("--char", required=True, callback=_weight_map_option, help="folded weight map")
-@click.option(
-    "--basis",
-    type=click.Choice([b.value for b in characters.Basis]),
-    required=True,
+@command(
+    "char", "decompose", "greedy unitriangular peeling",
+    _opt("--char", type=_weight_map, help="folded weight map"),
+    _opt("--basis", type=str, choices=("weyl", "simple", "tilting")),
+    _opt("-p", default=None),
 )
-@click.option("-p", type=int, default=None)
 def char_decompose(char: dict, basis: str, p: int | None) -> dict:
-    if p is None and basis != characters.Basis.WEYL.value:
-        raise click.UsageError(f"{basis} basis needs -p")
+    if p is None and basis != "weyl":
+        raise UsageError(f"{basis} basis needs -p")
     dec = characters.decompose(_parse_character(char), characters.Basis(basis), p)
     return {"terms": {str(m): mult for m, mult in sorted(dec.terms.items())}}
 
@@ -188,15 +243,9 @@ def char_decompose(char: dict, basis: str, p: int | None) -> dict:
 # -- tilt -----------------------------------------------------------------
 
 
-@main.group("tilt")
-def tilt_group() -> None:
-    """Tilting tensor-product decompositions."""
-
-
-@command(tilt_group, "fuse-decompose", "character decomposition in the tilting basis")
-@click.option("-p", type=int, required=True)
-@click.option("-a", type=int, required=True)
-@click.option("-b", type=int, required=True)
+@command(
+    "tilt", "fuse-decompose", "character decomposition in the tilting basis", "-p", "-a", "-b"
+)
 def tilt_fuse_decompose(p: int, a: int, b: int) -> list:
     dec = tilting.tensor_decompose_tilt(p, a, b)
     return [{"T": m, "mult": mult} for m, mult in sorted(dec.terms.items())]
@@ -205,39 +254,25 @@ def tilt_fuse_decompose(p: int, a: int, b: int) -> list:
 # -- verp -----------------------------------------------------------------
 
 
-@main.group()
-def verp() -> None:
-    """Level-p fusion ring operations."""
-
-
-@command(verp, "fuse", "tilting quotient: decompose, drop negligibles")
-@click.option("-p", type=int, required=True)
-@click.option("-a", type=int, required=True)
-@click.option("-b", type=int, required=True)
+@command("verp", "fuse", "tilting quotient: decompose, drop negligibles", "-p", "-a", "-b")
 def verp_fuse(p: int, a: int, b: int) -> list:
     return [{"L": i, "mult": m} for i, m in sorted(fusion.fuse(p, a, b).mults.items())]
 
 
-@command(verp, "oracle", "numeric S-matrix sum")
-@click.option("-p", type=int, required=True)
-@click.option("-a", type=int, required=True)
-@click.option("-b", type=int, required=True)
-@click.option("-c", type=int, required=True)
+@command("verp", "oracle", "numeric S-matrix sum", "-p", "-a", "-b", "-c")
 def verp_oracle(p: int, a: int, b: int, c: int) -> int:
     return fusion.verlinde_oracle(p, a, b, c)
 
 
-@command(verp, "fpdim", "Collatz-Wielandt certificate of [a+1]_q")
-@click.option("-p", type=int, required=True)
-@click.option("-a", type=int, required=True)
+@command("verp", "fpdim", "Collatz-Wielandt certificate of [a+1]_q", "-p", "-a")
 def verp_fpdim(p: int, a: int) -> float:
     return fusion.fpdim(p, a)
 
 
-@command(verp, "gd", "exact iterated fusion lengths")
-@click.option("-p", type=int, required=True)
-@click.option("-a", type=int, required=True, help="simple index to iterate")
-@click.option("--nmax", type=int, default=40)
+@command(
+    "verp", "gd", "exact iterated fusion lengths",
+    "-p", _opt("-a", help="simple index to iterate"), _opt("--nmax", default=40),
+)
 def verp_gd(p: int, a: int, nmax: int) -> dict:
     est = fusion.gd_estimate(p, fusion.FusionElement.simple(p, a), nmax)
     return {"roots": est.roots, "final": est.final}
@@ -246,47 +281,30 @@ def verp_gd(p: int, a: int, nmax: int) -> dict:
 # -- verpn ----------------------------------------------------------------
 
 
-@main.group("verpn")
-def verpn_group() -> None:
-    """Level-p^n simple-object calculus."""
-
-
-@command(verpn_group, "digits", "base-p expansion")
-@click.option("-p", type=int, required=True)
-@click.option("-n", type=int, required=True)
-@click.option("-i", type=int, required=True)
+@command("verpn", "digits", "base-p expansion", "-p", "-n", "-i")
 def verpn_digits(p: int, n: int, i: int) -> list:
     return list(verpn.steinberg_digits(p, n, i))
 
 
-@command(verpn_group, "product", "Steinberg tensor product")
-@click.option("-p", type=int, required=True)
-@click.option("-n", type=int, required=True)
-@click.option("--digits", required=True, callback=_int_list_option, help="comma-separated")
+@command(
+    "verpn", "product", "Steinberg tensor product",
+    "-p", "-n", _opt("--digits", type=_int_list, help="comma-separated"),
+)
 def verpn_product(p: int, n: int, digits: list[int]) -> int:
     return verpn.steinberg_product(p, n, digits)
 
 
-@command(verpn_group, "embed", "index multiplies by p one level up")
-@click.option("-p", type=int, required=True)
-@click.option("-n", type=int, required=True)
-@click.option("-i", type=int, required=True)
+@command("verpn", "embed", "index multiplies by p one level up", "-p", "-n", "-i")
 def verpn_embed(p: int, n: int, i: int) -> int:
     return verpn.embed(p, n, i)
 
 
-@command(verpn_group, "oddline", "index p^(n-1)(p-2)")
-@click.option("-p", type=int, required=True)
-@click.option("-n", type=int, required=True)
+@command("verpn", "oddline", "index p^(n-1)(p-2)", "-p", "-n")
 def verpn_oddline(p: int, n: int) -> int:
     return verpn.odd_line(p, n)
 
 
-@command(verpn_group, "sympower", "symmetric-power knowledge base")
-@click.option("-p", type=int, required=True)
-@click.option("-n", type=int, required=True)
-@click.option("-i", type=int, required=True)
-@click.option("-k", type=int, required=True)
+@command("verpn", "sympower", "symmetric-power knowledge base", "-p", "-n", "-i", "-k")
 def verpn_sympower(p: int, n: int, i: int, k: int) -> dict:
     st = verpn.sym_power_status(p, n, i, k)
     return {
@@ -299,56 +317,52 @@ def verpn_sympower(p: int, n: int, i: int, k: int) -> dict:
 # -- padic ----------------------------------------------------------------
 
 
-@main.group("padic")
-def padic_group() -> None:
-    """F_p series and p-adic dimension arithmetic."""
-
-
-@command(padic_group, "pow", "digit product expansion of (1-t)^d")
-@click.option("-p", type=int, required=True)
-@click.option("--exp", type=int, required=True, help="integer exponent d")
-@click.option(
-    "--prec",
-    type=int,
-    default=lambda: padic.DEFAULT_TRUNCATION,
-    envvar="VERLAB_PREC",
-    help="series truncation N",
+@command(
+    "padic", "pow", "digit product expansion of (1-t)^d",
+    "-p",
+    _opt("--exp", help="integer exponent d"),
+    # a string default is parsed as if given, so a malformed VERLAB_PREC is
+    # a usage error that names --prec
+    _opt(
+        "--prec",
+        default=lambda: os.environ.get("VERLAB_PREC") or padic.DEFAULT_TRUNCATION,
+        help="series truncation N (environment: VERLAB_PREC)",
+    ),
 )
 def padic_pow(p: int, exp: int, prec: int) -> dict:
     return _render_series(padic.one_minus_t_pow_int(exp, p, prec))
 
 
-@command(padic_group, "recover", "digits read at t^(p^j), certified by re-expansion")
-@click.option("-p", type=int, required=True)
-@click.option(
-    "--series", required=True, callback=_int_array_option, help="JSON array of residues"
+@command(
+    "padic", "recover", "digits read at t^(p^j), certified by re-expansion",
+    "-p", _opt("--series", type=_int_array, help="JSON array of residues"),
 )
 def padic_recover(p: int, series: list[int]) -> dict:
     e = padic.dimplus_from_series(padic.FpSeries(p, tuple(series)))
     return {"exponent": _render_padic(e), "dimplus": _render_padic(padic.padic_neg(e))}
 
 
-@command(padic_group, "finite", "finite symmetric algebra rule")
-@click.option("--top", type=int, required=True, help="top nonvanishing symmetric power")
-@click.option("-p", type=int, default=None, help="a prime; the answer does not depend on it")
+@command(
+    "padic", "finite", "finite symmetric algebra rule",
+    _opt("--top", help="top nonvanishing symmetric power"),
+    _opt("-p", default=None, help="a prime; the answer does not depend on it"),
+)
 def padic_finite(top: int, p: int | None) -> dict:
     return {"dimplus": padic.dimplus_of_finite_sym(top, p)}
 
 
-@command(padic_group, "extend", "extension transform: shift by 1-nlen and by 1")
-@click.option("-p", type=int, required=True)
-@click.option("--nlen", type=int, required=True)
-@click.option("--dimv", type=int, required=True)
-@click.option("--dimvdual", type=int, required=True)
+@command(
+    "padic", "extend", "extension transform: shift by 1-nlen and by 1",
+    "-p", "--nlen", "--dimv", "--dimvdual",
+)
 def padic_extend(p: int, nlen: int, dimv: int, dimvdual: int) -> dict:
     de, ded = padic.extension_transform(p, nlen, dimv, dimvdual)
     return {"dimplus_e": de, "dimplus_e_dual": ded}
 
 
-@command(padic_group, "palindrome", "twisted palindromy of a finite Hilbert series")
-@click.option("-p", type=int, required=True)
-@click.option(
-    "--series", required=True, callback=_int_array_option, help="JSON array, length d+1"
+@command(
+    "padic", "palindrome", "twisted palindromy of a finite Hilbert series",
+    "-p", _opt("--series", type=_int_array, help="JSON array, length d+1"),
 )
 def padic_palindrome(p: int, series: list[int]) -> bool:
     return padic.frobenius_palindromy_check(p, series, len(series) - 1)
@@ -357,57 +371,46 @@ def padic_palindrome(p: int, series: list[int]) -> bool:
 # -- sgd ------------------------------------------------------------------
 
 
-@main.group("sgd")
-def sgd_group() -> None:
-    """Symmetric growth dimension estimation."""
-
-
 def _build_provider(
     provider: str, p: int | None, m: int | None, csv_path: str | None
 ) -> growth.LengthProvider:
     if provider == "binomial":
         if m is None:
-            raise click.UsageError("binomial provider needs --m")
+            raise UsageError("binomial provider needs --m")
         return growth.binomial_provider(m)
     if provider == "partitions":
         return growth.partitions_provider()
     if provider == "sl2_sym":
         if p is None:
-            raise click.UsageError("sl2_sym provider needs -p")
+            raise UsageError("sl2_sym provider needs -p")
         return growth.sl2_sym_provider(p)
     if provider == "constant":
         return growth.constant_provider()
-    # click.Choice has rejected any other name, so this is "csv"
+    # --provider choices have rejected any other name, so this is "csv"
     if csv_path is None:
-        raise click.UsageError("csv provider needs --csv")
+        raise UsageError("csv provider needs --csv")
     return growth.csv_provider(csv_path)
 
 
-_provider_options = [
-    click.option(
-        "--provider",
-        type=click.Choice(["binomial", "partitions", "sl2_sym", "constant", "csv"]),
-        required=True,
+# the keywords of _build_provider, then --nmax
+_PROVIDER_OPTIONS = (
+    _opt(
+        "--provider", type=str,
+        choices=("binomial", "partitions", "sl2_sym", "constant", "csv"),
     ),
-    click.option("-p", type=int, default=None),
-    click.option("--m", type=int, default=None),
-    click.option("--csv", "csv_path", type=click.Path(exists=True, dir_okay=False)),
-    click.option("--nmax", type=int, default=2**14),
-]
+    _opt("-p", default=None),
+    _opt("--m", default=None),
+    _opt("--csv", dest="csv_path", type=_readable_file, default=None),
+    _opt("--nmax", default=2**14),
+)
 
 
-def _with_provider_options(f: Callable) -> Callable:
-    for opt in reversed(_provider_options):
-        f = opt(f)
-    return f
-
-
-@command(sgd_group, "estimate", "tail fit of cumulative symmetric lengths at powers of two")
-@_with_provider_options
-def sgd_estimate_cmd(
-    provider: str, p: int | None, m: int | None, csv_path: str | None, nmax: int
-) -> dict:
-    est = growth.sgd_estimate(_build_provider(provider, p, m, csv_path), nmax)
+@command(
+    "sgd", "estimate", "tail fit of cumulative symmetric lengths at powers of two",
+    *_PROVIDER_OPTIONS,
+)
+def sgd_estimate_cmd(nmax: int, **provider: Any) -> dict:
+    est = growth.sgd_estimate(_build_provider(**provider), nmax)
     return {
         "samples": [
             {"n": n, "cumulative": str(s), "estimate": e} for n, s, e in est.samples
@@ -419,18 +422,13 @@ def sgd_estimate_cmd(
     }
 
 
-@command(sgd_group, "diagnose", "growth estimate vs dim Hom(X, unit)")
-@_with_provider_options
-@click.option("--homdim", type=click.IntRange(min=0), help="override the provider hom_dim")
-def sgd_diagnose_cmd(
-    provider: str,
-    p: int | None,
-    m: int | None,
-    csv_path: str | None,
-    nmax: int,
-    homdim: int | None,
-) -> dict:
-    prov = _build_provider(provider, p, m, csv_path)
+@command(
+    "sgd", "diagnose", "growth estimate vs dim Hom(X, unit)",
+    *_PROVIDER_OPTIONS,
+    _opt("--homdim", type=_non_negative, default=None, help="override the provider hom_dim"),
+)
+def sgd_diagnose_cmd(nmax: int, homdim: int | None, **provider: Any) -> dict:
+    prov = _build_provider(**provider)
     if homdim is not None:
         prov.hom_dim = homdim
     report = growth.mn_diagnostic(prov, nmax)

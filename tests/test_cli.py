@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,10 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,12 +27,26 @@ def schema():
     return json.loads(path.read_text())
 
 
+class Run(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run ``main(args)`` in this process and capture its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return Run(code, out.getvalue(), err.getvalue())
 
 
 def payload(result):
-    return json.loads(result.output)
+    return json.loads(result.stdout)
 
 
 def run_process(*args, timeout=10, **env):
@@ -54,7 +70,7 @@ class TestFuseCommand:
     def test_text_mode(self):
         res = invoke("verp", "fuse", "-p", "5", "-a", "1", "-b", "3", "--text")
         assert res.exit_code == 0
-        assert "L" in res.output
+        assert res.stdout == 'verp.fuse: [{"L": 2, "mult": 1}]\n'
 
 
 class TestPadicCommands:
@@ -85,18 +101,14 @@ class TestPadicCommands:
         assert out["exponent"]["signed_int"] == -6
         assert out["dimplus"]["signed_int"] == 6
 
-    def test_prec_env_override(self):
-        res = CliRunner().invoke(
-            main,
-            ["padic", "pow", "-p", "2", "--exp", "1"],
-            env={"VERLAB_PREC": "10"},
-        )
+    def test_prec_env_override(self, monkeypatch):
+        monkeypatch.setenv("VERLAB_PREC", "10")
+        res = invoke("padic", "pow", "-p", "2", "--exp", "1")
         assert payload(res)["result"]["truncation"] == 10
 
-    def test_prec_default(self):
-        res = CliRunner().invoke(
-            main, ["padic", "pow", "-p", "2", "--exp", "3"], env={"VERLAB_PREC": None}
-        )
+    def test_prec_default(self, monkeypatch):
+        monkeypatch.delenv("VERLAB_PREC", raising=False)
+        res = invoke("padic", "pow", "-p", "2", "--exp", "3")
         out = payload(res)
         assert out["inputs"]["prec"] == 64
         assert out["result"]["truncation"] == 64
@@ -130,7 +142,7 @@ class TestErrors:
     def test_missing_p_usage_error_exit_2(self, args):
         res = invoke(*args)
         assert res.exit_code == 2
-        assert "needs -p" in res.output
+        assert "needs -p" in res.stderr
 
     @pytest.mark.parametrize("args", [
         ("char", "simple", "-p", "1", "-m", "5"),
@@ -179,12 +191,13 @@ class TestErrors:
         (("verpn", "product", "-p", "3", "-n", "2", "--digits", "1,x"), {}),
         (("sgd", "estimate", "--provider", "csv", "--csv", MISSING_CSV, "--nmax", "16"), {}),
         (("padic", "pow", "-p", "2", "--exp", "3"), {"VERLAB_PREC": "abc"}),
+        (("sgd", "estimate", "--provider", "csv", "--csv", SRC_DIR, "--nmax", "16"), {}),
     ])
     def test_malformed_input_exit_2(self, args, env):
         res = run_process(*args, **env)
         assert res.returncode == 2
         assert "Traceback" not in res.stdout + res.stderr
-        assert "Error: Invalid value" in res.stderr
+        assert "error: argument --" in res.stderr
 
     def test_palindrome_empty_series_exit_1(self, schema):
         res = run_process("padic", "palindrome", "-p", "3", "--series", "[]")
@@ -198,7 +211,54 @@ class TestErrors:
     def test_help_exit_0(self):
         res = invoke("--help")
         assert res.exit_code == 0
-        assert "Usage" in res.output
+        assert res.stdout.startswith("usage: verlab [-h] COMMAND ...")
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("args", [(), ("verp",), ("nosuch",), ("verp", "nosuch")])
+    def test_no_command_exit_2(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: verlab")
+
+    @pytest.mark.parametrize("args, listed", [
+        (("--help",), {"char", "tilt", "verp", "verpn", "padic", "sgd"}),
+        (("verp", "--help"), {"fuse", "oracle", "fpdim", "gd"}),
+        (("verp", "fuse", "--help"), {"-p", "-a", "-b", "--json", "--text"}),
+    ])
+    def test_help_lists_the_next_words(self, args, listed):
+        res = invoke(*args)
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        first_words = {line.split()[0] for line in res.stdout.splitlines() if line.strip()}
+        assert listed <= first_words
+
+    def test_no_prefix_abbreviations(self):
+        res = invoke("padic", "pow", "-p", "2", "--exp", "3", "--pre", "10")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "unrecognized arguments: --pre 10" in res.stderr
+
+    @pytest.mark.parametrize("args, error", [
+        (("char", "simple", "-p", "-3", "-m", "2"), "InvalidInput"),
+        (("verpn", "product", "-p", "3", "-n", "2", "--digits", "-1,2"), "DigitOutOfRange"),
+    ])
+    def test_value_with_leading_dash_is_a_value(self, args, error, schema):
+        res = invoke(*args)
+        assert res.exit_code == 1
+        out = payload(res)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == error
+
+    @pytest.mark.parametrize("flags, as_json", [
+        (("--text", "--json"), True),
+        (("--json", "--text"), False),
+    ])
+    def test_last_format_flag_wins(self, flags, as_json):
+        res = invoke("verp", "fuse", "-p", "5", "-a", "1", "-b", "3", *flags)
+        assert res.exit_code == 0
+        assert res.stdout.startswith("{") is as_json
 
 
 class TestCharCommands:
@@ -248,7 +308,7 @@ class TestSchemaAndDeterminism:
 
     def test_byte_identical_reruns(self):
         for args in self.COMMANDS:
-            assert invoke(*args).output == invoke(*args).output
+            assert invoke(*args) == invoke(*args)
 
 
 class TestSgdCommands:
@@ -282,7 +342,7 @@ class TestSgdCommands:
         res = invoke("sgd", "diagnose", "--provider", "constant", "--homdim", "-3",
                      "--nmax", "64")
         assert res.exit_code == 2
-        assert "--homdim" in res.output
+        assert "argument --homdim" in res.stderr
 
     @pytest.mark.parametrize("args", [
         ("--provider", "binomial", "--m", "3", "--nmax", str(10**8)),
@@ -406,8 +466,8 @@ def is_prime(n: int) -> bool:
 def test_every_command_answers_or_reports(schema, args):
     """Exit 0 with a result, exit 1 with the error envelope, or exit 2; never
     an uncaught exception, and never an answer for a non-prime p."""
-    res = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert res.exit_code in (0, 1, 2), res.output
+    res = invoke(*args)
+    assert res.exit_code in (0, 1, 2), res
     if res.exit_code == 2:
         return
     out = json.loads(res.stdout)

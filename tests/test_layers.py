@@ -28,6 +28,19 @@ except SystemExit:
     pass
 """ + RAN
 
+# Printed last: every module the CLI run imported that is neither in the
+# standard library nor part of verlab.
+CLI_THEN_REPORT_IMPORTS = """
+import json, runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("verlab.cli", run_name="__main__")
+except SystemExit:
+    pass
+top = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(top - set(sys.stdlib_module_names) - {"verlab"})))
+"""
+
 PACKAGE_CONTRACT = """
 import sys
 import verlab
@@ -66,11 +79,21 @@ def run_script(script, *args):
     ("padic pow -p 3 --exp 2", {"errors", "characters", "padic"}),
     ("sgd estimate --provider constant --nmax 16", {"errors", "characters", "growth"}),
     ("verp fuse -p 5 -a 1 -b 3", {"errors", "characters", "tilting", "verpn", "fusion"}),
-    ("verp fuse -p x -a 1 -b 1", {"errors", "characters"}),
+    ("verp fuse -p x -a 1 -b 1", {"errors"}),
 ])
 def test_cli_command_runs_only_its_layers(command, layers):
     res = run_script(CLI_THEN_REPORT, *command.split())
     assert set(json.loads(res.stdout.splitlines()[-1])) == layers, res.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "verp fuse -p 5 -a 1 -b 3",
+    "verp fuse -p 5 -a 9 -b 1",
+    "verp fuse -p x -a 1 -b 1",
+])
+def test_cli_imports_only_the_standard_library(command):
+    res = run_script(CLI_THEN_REPORT_IMPORTS, *command.split())
+    assert json.loads(res.stdout.splitlines()[-1]) == [], res.stderr
 
 
 def test_package_contract():

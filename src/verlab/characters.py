@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NegativeCoefficient, require_prime
 
@@ -126,8 +125,7 @@ def simple_char(p: int, m: int) -> Character:
     return Character(Counter(w for w in sums if w >= 0))
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """Exact expansion of a character in one of the three bases."""
 
     basis: Basis

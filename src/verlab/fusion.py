@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, NumericalInstability, require_prime
 from .tilting import is_negligible, tensor_decompose_tilt
@@ -140,13 +140,12 @@ def fpdim(p: int, a: int) -> float:
     return value
 
 
-@dataclass
-class GdEstimate:
+class GdEstimate(NamedTuple):
     """Root sequence ell(x^{(x)n})^(1/n) and its final value."""
 
     roots: list[float]
     final: float
-    lengths: list[int] = field(default_factory=list)
+    lengths: list[int]
 
 
 def gd_estimate(p: int, x: FusionElement, n_max: int) -> GdEstimate:

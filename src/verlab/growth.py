@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .characters import Basis, base_p_digits, decompose, weyl_char
 from .errors import MissingHomDim, require_prime
@@ -102,39 +101,35 @@ def partition_count(n: int) -> int:
 # -- providers ------------------------------------------------------------
 
 
-@dataclass
 class LengthProvider:
     """Exact per-degree lengths n -> ell(Sym^n X) and their prefix sums.
 
     ``cumulative(n)`` is sum_{i<=n} ell(i).  A provider with a closed form
-    passes it; the default is a running sum of ``length`` that resumes
-    from the last n it was asked for and rejects a negative length.
+    passes it; the default method is a running sum of ``length`` from 0
+    that rejects a negative length.
     """
 
-    name: str
-    length: Callable[[int], int]
-    hom_dim: int | None = None
-    cumulative: Callable[[int], int] | None = None
+    def __init__(
+        self,
+        name: str,
+        length: Callable[[int], int],
+        hom_dim: int | None = None,
+        cumulative: Callable[[int], int] | None = None,
+    ):
+        self.name = name
+        self.length = length
+        self.hom_dim = hom_dim
+        if cumulative is not None:
+            self.cumulative = cumulative  # shadows the method
 
-    def __post_init__(self) -> None:
-        if self.cumulative is None:
-            self.cumulative = _running_sum(self.length)
-
-
-def _running_sum(length: Callable[[int], int]) -> Callable[[int], int]:
-    last = [-1, 0]  # the last n summed and its sum
-
-    def cumulative(n: int) -> int:
-        i, total = last if n >= last[0] else (-1, 0)
-        for i in range(i + 1, n + 1):
-            ell = length(i)
+    def cumulative(self, n: int) -> int:
+        total = 0
+        for i in range(n + 1):
+            ell = self.length(i)
             if ell < 0:
                 raise ValueError("lengths must be non-negative")
             total += ell
-        last[:] = n, total
         return total
-
-    return cumulative
 
 
 def binomial_provider(m: int) -> LengthProvider:
@@ -172,7 +167,7 @@ def constant_provider() -> LengthProvider:
     )
 
 
-def csv_provider(path: str, name: str | None = None) -> LengthProvider:
+def csv_provider(path: str) -> LengthProvider:
     """Load a provider from a CSV with header ``n,length``."""
     table: dict[int, int] = {}
     with open(path, newline="") as fh:
@@ -188,7 +183,7 @@ def csv_provider(path: str, name: str | None = None) -> LengthProvider:
             raise ValueError(f"CSV provider has no row for n={n}")
         return table[n]
 
-    return LengthProvider(name=name or f"csv({path})", length=length)
+    return LengthProvider(name=f"csv({path})", length=length)
 
 
 # -- estimator ------------------------------------------------------------
@@ -201,13 +196,12 @@ RATIO_DECAY = 0.8
 SLOPE_DRIFT = 0.05
 
 
-@dataclass
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     samples: list[tuple[int, int, float]]  # (n, cumulative length, estimate)
     final: float
     classification: str  # "polynomial", "superpolynomial", "exponential"
     degree: float | None
-    diagnostics: str = ""
+    diagnostics: str
 
 
 def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
@@ -278,8 +272,7 @@ def sgd_estimate(provider: LengthProvider, n_max: int) -> GrowthEstimate:
     )
 
 
-@dataclass
-class MnReport:
+class MnReport(NamedTuple):
     """Comparison of the growth estimate against dim Hom(X, unit)."""
 
     estimate: GrowthEstimate

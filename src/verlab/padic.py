@@ -11,7 +11,6 @@ extension transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .characters import base_p_digits
 from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower, require_prime
@@ -19,18 +18,27 @@ from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower, 
 DEFAULT_TRUNCATION = 64
 
 
-@dataclass(frozen=True)
 class PadicDigits:
     """Base-p digit prefix d_0..d_{M-1} of a p-adic integer, mod p^M."""
 
-    p: int
-    digits: tuple[int, ...]
+    __slots__ = ("p", "digits")
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} outside [0, {self.p - 1}]")
+    def __init__(self, p: int, digits: tuple[int, ...]):
+        require_prime(p)
+        for d in digits:
+            if not 0 <= d < p:
+                raise ValueError(f"digit {d} outside [0, {p - 1}]")
+        self.p = p
+        self.digits = digits
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PadicDigits) and (self.p, self.digits) == (other.p, other.digits)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.digits))
+
+    def __repr__(self) -> str:
+        return f"PadicDigits(p={self.p}, digits={self.digits})"
 
     @property
     def precision(self) -> int:
@@ -48,10 +56,14 @@ class PadicDigits:
 
 
 def padic_of_int(x: int, p: int, m: int) -> PadicDigits:
-    """Digits of x mod p^M; negative integers via the complement."""
+    """Digits of x mod p^M; negative integers via the complement.
+
+    M = 0 gives the empty prefix, the exponent read off a series truncated
+    at t^0.
+    """
     require_prime(p)
-    if m < 1:
-        raise ValueError("precision M must be >= 1")
+    if m < 0:
+        raise ValueError("precision M must be >= 0")
     return PadicDigits(p, tuple(base_p_digits(x % p**m, p, m)))
 
 
@@ -59,18 +71,24 @@ def padic_neg(a: PadicDigits) -> PadicDigits:
     return padic_of_int(-a.to_int(), a.p, a.precision)
 
 
-@dataclass(frozen=True)
 class FpSeries:
     """Truncated power series over F_p; coeffs[i] is the t^i coefficient."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self) -> None:
-        require_prime(self.p)
-        object.__setattr__(
-            self, "coeffs", tuple(c % self.p for c in self.coeffs)
-        )
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        require_prime(p)
+        self.p = p
+        self.coeffs = tuple(c % p for c in coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FpSeries) and (self.p, self.coeffs) == (other.p, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"FpSeries(p={self.p}, coeffs={self.coeffs})"
 
     @property
     def truncation(self) -> int:

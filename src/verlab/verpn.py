@@ -8,9 +8,9 @@ rule (with its provenance) or answers Unknown.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from enum import Enum
-from importlib import resources
+from typing import NamedTuple
 
 from .characters import base_p_digits
 from .errors import DigitOutOfRange, EvenPrime, IndexOutOfRange, require_prime
@@ -85,16 +85,16 @@ class Sym(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class SymStatus:
+class SymStatus(NamedTuple):
     status: Sym
     rule: str
-    has_unit_summand: bool = False
+    has_unit_summand: bool
 
 
 def _load_fact_file() -> dict:
-    path = resources.files("verlab.data").joinpath("sym_power_facts.json")
-    return json.loads(path.read_text())
+    path = os.path.join(os.path.dirname(__file__), "data", "sym_power_facts.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 _FACT_FILE = _load_fact_file()
@@ -143,10 +143,9 @@ def _vanishing_bounds(p: int, n: int, i: int) -> list[tuple[int, str]]:
 def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
     """Best known status of Sym^k L_i at level p^n.
 
-    Order of evaluation: trivial unit cases, exact fact-table entries,
-    the three vanishing rules, the invertible-top inference (Sym of a
-    non-invertible simple dies one step above an invertible symmetric
-    power), upward closure of Zero.  Anything else is Unknown.
+    Order of evaluation: trivial unit cases, exact fact-table entries and
+    the three vanishing rules, each with upward closure of Zero.  Anything
+    else is Unknown.
     """
     check_index(p, n, i)
     if k < 0:
@@ -177,16 +176,5 @@ def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
             if k > bound:
                 rule += f" (upward closure from k={bound})"
             return SymStatus(Sym.ZERO, rule, summand)
-
-    # Invertible-top inference: if Sym^a L is the unit for a non-invertible
-    # simple L, then Sym^{a+1} L = 0. Premises must be fact-table entries.
-    if not is_invertible_simple(p, n, i):
-        for f in matching:
-            if f["status"] == "IsUnit" and k >= f["power"] + 1:
-                return SymStatus(
-                    Sym.ZERO,
-                    "invertible-top inference from fact: " + f["provenance"],
-                    summand,
-                )
 
     return SymStatus(Sym.UNKNOWN, "no rule matches", summand)

@@ -113,6 +113,15 @@ class TestPadicCommands:
         assert out["inputs"]["prec"] == 64
         assert out["result"]["truncation"] == 64
 
+    def test_recover_at_truncation_zero(self, schema):
+        # [1] is what `padic pow --prec 0` prints for every exponent
+        res = invoke("padic", "recover", "-p", "2", "--series", "[1]")
+        assert res.exit_code == 0
+        out = payload(res)
+        jsonschema.validate(out, schema)
+        assert out["result"]["exponent"]["precision"] == 0
+        assert out["result"]["dimplus"]["precision"] == 0
+
     @pytest.mark.parametrize("prec", ["-1", "-5"])
     def test_negative_prec_exit_1(self, prec, schema):
         res = run_process("padic", "pow", "-p", "3", "--exp", "2", "--prec", prec)

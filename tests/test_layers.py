@@ -28,17 +28,29 @@ except SystemExit:
     pass
 """ + RAN
 
-# Printed last: every module the CLI run imported that is neither in the
-# standard library nor part of verlab.
-CLI_THEN_REPORT_IMPORTS = """
+# Runs the CLI and binds ``new`` to the modules that the run imported.
+CLI_IMPORTS = """
 import json, runpy, sys
 before = set(sys.modules)
 try:
     runpy.run_module("verlab.cli", run_name="__main__")
 except SystemExit:
     pass
-top = {name.partition(".")[0] for name in set(sys.modules) - before}
+new = set(sys.modules) - before
+"""
+
+# Printed last: every module the CLI run imported that is neither in the
+# standard library nor part of verlab.
+CLI_THEN_REPORT_IMPORTS = CLI_IMPORTS + """
+top = {name.partition(".")[0] for name in new}
 print(json.dumps(sorted(top - set(sys.stdlib_module_names) - {"verlab"})))
+"""
+
+# Printed last: the costly standard-library modules the CLI run imported.
+# ``dataclasses`` pulls in ``inspect``, and with it ``ast``, ``dis`` and
+# ``tokenize``; records are NamedTuples and __slots__ classes instead.
+CLI_THEN_REPORT_HEAVY_IMPORTS = CLI_IMPORTS + """
+print(json.dumps(sorted(new & {"dataclasses", "inspect"})))
 """
 
 PACKAGE_CONTRACT = """
@@ -93,6 +105,17 @@ def test_cli_command_runs_only_its_layers(command, layers):
 ])
 def test_cli_imports_only_the_standard_library(command):
     res = run_script(CLI_THEN_REPORT_IMPORTS, *command.split())
+    assert json.loads(res.stdout.splitlines()[-1]) == [], res.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "verp fuse -p 5 -a 1 -b 3",
+    "padic recover -p 2 --series [1,1]",
+    "sgd estimate --provider constant --nmax 16",
+    "verpn sympower -p 3 -n 2 -i 4 -k 2",
+])
+def test_cli_imports_neither_dataclasses_nor_inspect(command):
+    res = run_script(CLI_THEN_REPORT_HEAVY_IMPORTS, *command.split())
     assert json.loads(res.stdout.splitlines()[-1]) == [], res.stderr
 
 

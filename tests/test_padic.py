@@ -88,6 +88,12 @@ class TestPadicOfInt:
             for p in (2, 3, 5):
                 assert padic_of_int(x, p, 6).to_signed_int() == x
 
+    def test_zero_precision_is_the_empty_prefix(self):
+        for x in (-7, 0, 7):
+            assert padic_of_int(x, 3, 0) == PadicDigits(3, ())
+        with pytest.raises(ValueError, match="precision M must be >= 0"):
+            padic_of_int(1, 3, -1)
+
 
 class TestOneMinusTPow:
     def test_exponent_one(self):
@@ -335,3 +341,27 @@ class TestNeg:
             for x in range(-20, 21):
                 d = padic_of_int(x, p, 6)
                 assert padic_neg(d).to_signed_int() == -x
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_roundtrip_at_truncation_zero(self, p):
+        # (1-t)^x truncated at t^0 is 1, and it fixes no digit of x
+        for x in range(-12, 13):
+            e = dimplus_from_series(one_minus_t_pow_int(x, p, 0))
+            assert e == PadicDigits(p, ())
+            assert padic_neg(e) == PadicDigits(p, ())
+
+
+class TestValueSemantics:
+    """Series and digit prefixes are values: equal ones hash alike."""
+
+    def test_series(self):
+        a, b = FpSeries(3, (4, 1)), FpSeries(3, (1, 1))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != FpSeries(5, (4, 1)) and a != FpSeries(3, (1, 1, 0))
+        assert a != (3, (1, 1))
+
+    def test_digits(self):
+        a, b = PadicDigits(3, (1, 2)), padic_of_int(7, 3, 2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PadicDigits(5, (1, 2)) and a != PadicDigits(3, (1, 2, 0))
+        assert a != (3, (1, 2))

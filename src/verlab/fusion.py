@@ -105,39 +105,35 @@ def verlinde_oracle(p: int, a: int, b: int, c: int) -> int:
     return int(rounded)
 
 
-def fusion_matrix(p: int, a: int) -> list[list[int]]:
-    """Matrix of fusion with L_a: entry [b][c] = N_{ab}^c."""
-    check_index(p, 1, a)
-    mat = [[0] * (p - 1) for _ in range(p - 1)]
-    for b in range(p - 1):
-        for c, n in fuse(p, a, b)._mults.items():
-            mat[b][c] = n
-    return mat
-
-
 def fpdim(p: int, a: int) -> float:
-    """Frobenius-Perron dimension of L_a, certified by Collatz-Wielandt.
+    """Frobenius-Perron dimension of L_a, certified exactly.
 
-    The candidate is the quantum dimension [a+1]_q, q = exp(i*pi/p), with
-    the strictly positive vector v_b = [b+1]_q = sin((b+1)pi/p) / sin(pi/p).
-    For the nonnegative fusion matrix M of L_a,
-    min_b (Mv)_b / v_b <= rho(M) <= max_b (Mv)_b / v_b, so both bounds
-    within 1e-9 (relative) of [a+1]_q prove it is rho(M).
+    The candidate is the quantum dimension [a+1]_q, q = exp(i*pi/p).  The
+    vector v_b = [b+1]_q is strictly positive, so by Perron-Frobenius
+    M v = [a+1]_q v for the nonnegative fusion matrix M of L_a proves
+    rho(M) = [a+1]_q.  Row b of that identity, sum_c N_{ab}^c [c+1] =
+    [a+1][b+1] = sum of [c+1] over c = |a-b|, |a-b|+2, ..., a+b, is compared
+    in integer coordinates on the basis [1], ..., [p//2], reached through
+    [k+2p] = [k], [2p-k] = -[k] and [p-k] = [k].
     """
     check_index(p, 1, a)
-    v = [math.sin((b + 1) * math.pi / p) / math.sin(math.pi / p) for b in range(p - 1)]
-    value = v[a]
-    ratios = [
-        sum(n * x for n, x in zip(row, v)) / v[b]
-        for b, row in enumerate(fusion_matrix(p, a))
-    ]
-    lo, hi = min(ratios), max(ratios)
-    if max(value - lo, hi - value) > 1e-9 * value:
-        raise NumericalInstability(
-            f"Collatz-Wielandt bounds [{lo}, {hi}] do not pin the quantum "
-            f"dimension {value} for (p={p}, a={a})"
-        )
-    return value
+
+    def fold(terms) -> list[int]:
+        coords = [0] * (p // 2 + 1)  # slot 0 collects [0] = [p] = 0
+        for k, n in terms:
+            k %= 2 * p
+            if k > p:
+                k, n = 2 * p - k, -n
+            coords[min(k, p - k)] += n
+        return coords[1:]
+
+    for b in range(p - 1):
+        row = fold((c + 1, n) for c, n in fuse(p, a, b)._mults.items())
+        if row != fold((c + 1, 1) for c in range(abs(a - b), a + b + 1, 2)):
+            raise AssertionError(
+                f"fusion row L_{a} (x) L_{b} breaks M v = [a+1]_q v at p={p}"
+            )
+    return math.sin((a + 1) * math.pi / p) / math.sin(math.pi / p)
 
 
 class GdEstimate(NamedTuple):

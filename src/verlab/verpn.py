@@ -143,9 +143,9 @@ def _vanishing_bounds(p: int, n: int, i: int) -> list[tuple[int, str]]:
 def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
     """Best known status of Sym^k L_i at level p^n.
 
-    Order of evaluation: trivial unit cases, exact fact-table entries and
-    the three vanishing rules, each with upward closure of Zero.  Anything
-    else is Unknown.
+    Order of evaluation: trivial unit cases, IsUnit fact-table entries at
+    k, then the Zero fact-table entries and the three vanishing rules, each
+    with upward closure.  Anything else is Unknown.
     """
     check_index(p, n, i)
     if k < 0:
@@ -163,15 +163,11 @@ def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
 
     matching = [f for f in FACTS if f["p"] == p and f["n"] == n and f["index"] == i]
     for f in matching:
-        if f["status"] == "Zero" and k >= f["power"]:
-            rule = f["provenance"]
-            if k > f["power"]:
-                rule += f" (upward closure from k={f['power']})"
-            return SymStatus(Sym.ZERO, rule, summand)
         if f["status"] == "IsUnit" and k == f["power"]:
             return SymStatus(Sym.IS_UNIT, f["provenance"], summand)
 
-    for bound, rule in _vanishing_bounds(p, n, i):
+    zero_facts = [(f["power"], f["provenance"]) for f in matching if f["status"] == "Zero"]
+    for bound, rule in zero_facts + _vanishing_bounds(p, n, i):
         if k >= bound:
             if k > bound:
                 rule += f" (upward closure from k={bound})"

@@ -13,7 +13,7 @@ from verlab import (
     verlinde_oracle,
 )
 from verlab import fusion
-from verlab.errors import IndexOutOfRange, NumericalInstability
+from verlab.errors import IndexOutOfRange
 
 from oracles import fusion_product, quantum_dimension
 
@@ -194,23 +194,34 @@ class TestFpdim:
                     )
                     assert abs(fpdim(p, a) * fpdim(p, b) - rhs) < 1e-8
 
+    @staticmethod
+    def closed_form(p, a):
+        return math.sin((a + 1) * math.pi / p) / math.sin(math.pi / p)
+
     def test_matches_closed_form(self):
-        for p in (2, 3, 5, 31, 61):
+        for p in (2, 3, 5, 7, 11, 13, 31, 47, 61):
             for a in range(p - 1):
-                q = math.sin((a + 1) * math.pi / p) / math.sin(math.pi / p)
-                assert abs(fpdim(p, a) - q) < 1e-9
+                assert fpdim(p, a) == self.closed_form(p, a), (p, a)
 
-    def test_certificate_rejects_perturbed_matrix(self, monkeypatch):
-        exact = fusion.fusion_matrix
+    @pytest.mark.parametrize("a", [1, 63, 125])
+    def test_certificate_holds_at_p127(self, a):
+        assert fpdim(127, a) == self.closed_form(127, a)
 
-        def perturbed(p, a):
-            mat = exact(p, a)
-            mat[0][0] += 1
-            return mat
+    @pytest.mark.parametrize("p, a, b", [(5, 1, 0), (61, 30, 59)])
+    def test_certificate_rejects_perturbed_row(self, monkeypatch, p, a, b):
+        exact = fusion.fuse
 
-        monkeypatch.setattr(fusion, "fusion_matrix", perturbed)
-        with pytest.raises(NumericalInstability):
-            fpdim(5, 1)
+        def perturbed(p_, a_, b_):
+            row = exact(p_, a_, b_)
+            if (p_, a_, b_) != (p, a, b):
+                return row
+            mults = row.mults
+            mults[min(mults)] += 1
+            return FusionElement(p_, mults)
+
+        monkeypatch.setattr(fusion, "fuse", perturbed)
+        with pytest.raises(AssertionError, match=f"L_{a} \\(x\\) L_{b}"):
+            fpdim(p, a)
 
 
 class TestGdEstimate:

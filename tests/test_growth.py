@@ -161,7 +161,7 @@ class TestCumulative:
         prov = constant_provider()
         assert [prov.cumulative(n) for n in range(3000)] == running_sums(prov.length, 3000)
 
-    def test_running_sum_default_resumes_and_restarts(self):
+    def test_default_running_sum_matches_brute_force_in_any_order(self):
         prov = LengthProvider(name="squares", length=lambda n: n * n)
         brute = running_sums(prov.length, 200)
         for n in (0, 5, 5, 100, 3, 199, 150):

@@ -27,13 +27,10 @@ class Character:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        for w, c in (coeffs or {}).items():
-            if w < 0:
-                raise ValueError("folded storage uses non-negative weights only")
-            if c:
-                clean[int(w)] = int(c)
-        self._coeffs = clean
+        coeffs = coeffs or {}
+        if min(coeffs, default=0) < 0:
+            raise ValueError("folded storage uses non-negative weights only")
+        self._coeffs = {w: c for w, c in coeffs.items() if c}
 
     # -- basic views ------------------------------------------------------
 
@@ -91,7 +88,7 @@ def weyl_char(m: int) -> Character:
     """Character of the Weyl/dual-Weyl module: q^m + q^{m-2} + ... + q^{-m}."""
     if m < 0:
         raise ValueError("highest weight must be non-negative")
-    return Character({w: 1 for w in range(m, -1, -2)})
+    return Character(dict.fromkeys(range(m, -1, -2), 1))
 
 
 def base_p_digits(m: int, p: int, width: int = 1) -> list[int]:

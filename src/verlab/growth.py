@@ -77,25 +77,28 @@ _PARTITIONS: list[int] = [1]
 
 
 def partition_count(n: int) -> int:
-    """Number of partitions of n via the pentagonal-number recurrence."""
+    """Number of partitions of n via Euler's pentagonal-number recurrence.
+
+    p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)).
+    The generalized pentagonal numbers g are kept as offsets -g, split by
+    the sign of their terms: while the table holds p(0), ..., p(m-1),
+    ``table[-g]`` is p(m - g), so p(m) is one bulk sum per sign over the
+    offsets with g <= m.  Those change only as m passes a pentagonal number.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_PARTITIONS) <= n:
-        m = len(_PARTITIONS)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * _PARTITIONS[m - g1]
-            if g2 <= m:
-                total += sign * _PARTITIONS[m - g2]
-            k += 1
-        _PARTITIONS.append(total)
-    return _PARTITIONS[n]
+    table = _PARTITIONS
+    get = table.__getitem__
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 0
+    while len(table) <= n:
+        k += 1
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            for _ in range(len(table), min(g, n + 1)):
+                table.append(sum(map(get, plus)) - sum(map(get, minus)))
+            (plus if k % 2 else minus).append(-g)
+    return table[n]
 
 
 # -- providers ------------------------------------------------------------
@@ -146,7 +149,12 @@ def binomial_provider(m: int) -> LengthProvider:
 
 def partitions_provider() -> LengthProvider:
     """Model of the square of an interpolation generator: ell(Sym^n) = p(n)."""
-    return LengthProvider(name="partitions", length=partition_count)
+
+    def cumulative(n: int) -> int:
+        partition_count(n)  # fills the table through n
+        return sum(_PARTITIONS[: n + 1])
+
+    return LengthProvider(name="partitions", length=partition_count, cumulative=cumulative)
 
 
 def sl2_sym_provider(p: int) -> LengthProvider:

@@ -8,7 +8,6 @@ closed-form predicate m >= p^n - 1.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 from .characters import Basis, Character, Decomposition, base_p_digits, decompose
 from .errors import require_prime
@@ -35,8 +34,16 @@ def weyl_factors(p: int, m: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def tilting_char(p: int, m: int) -> Character:
-    """Character of the tilting module T_m: the sum of chi_f over its Weyl factors f."""
-    return Character(Counter(w for f in weyl_factors(p, m) for w in range(f, -1, -2)))
+    """Character of the tilting module T_m: the sum of chi_f over its Weyl factors f.
+
+    Every factor has the parity of m, so weight w of that parity has
+    multiplicity #{f >= w}: one count per gap between consecutive factors.
+    """
+    factors = weyl_factors(p, m)
+    coeffs: dict[int, int] = {}
+    for i, (below, f) in enumerate(zip([-1, *factors], factors)):
+        coeffs.update(dict.fromkeys(range(f, below, -2), len(factors) - i))
+    return Character(coeffs)
 
 
 def tensor_decompose_tilt(p: int, a: int, b: int) -> Decomposition:

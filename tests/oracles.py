@@ -1,9 +1,11 @@
-"""Test-only arithmetic on characters and fusion elements.
+"""Test-only arithmetic on characters and fusion elements, and reference loops.
 
 The library has no use for character differences, top weights, values at
 a root of unity or products of fusion elements; the tests compare against
 them.  Each is a plain function of the public data (``coeffs``, ``mults``
 and the cached ``fuse`` rows), so it checks the library from outside.
+``partitions_pentagonal_loop`` is the term-by-term recurrence that the
+library's bulk partition table must reproduce.
 """
 from __future__ import annotations
 
@@ -51,3 +53,23 @@ def fusion_product(x: FusionElement, y: FusionElement) -> FusionElement:
             for c, n in fuse(x.p, a, b).mults.items():
                 out[c] = out.get(c, 0) + ma * mb * n
     return FusionElement(x.p, out)
+
+
+def partitions_pentagonal_loop(n: int) -> list[int]:
+    """[p(0), ..., p(n)] from Euler's recurrence, one signed term at a time."""
+    table = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > m:
+                break
+            sign = 1 if k % 2 == 1 else -1
+            total += sign * table[m - g1]
+            if g2 <= m:
+                total += sign * table[m - g2]
+            k += 1
+        table.append(total)
+    return table

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,28 @@ def random_module_char(rng, max_w=8, max_c=3):
     return Character(
         {w: rng.randint(0, max_c) for w in range(parity, max_w, 2)}
     )
+
+
+class TestConstructor:
+    def test_negative_weight_rejected_even_with_zero_coefficient(self):
+        for coeffs in ({-1: 0}, {-1: 1}, {0: 1, -4: 2}):
+            with pytest.raises(ValueError, match="non-negative weights"):
+                Character(coeffs)
+
+    def test_zero_coefficients_dropped(self):
+        c = Character({0: 1, 2: 0, 5: -3, 7: 0})
+        assert c.coeffs == {0: 1, 5: -3}
+        assert c == Character({0: 1, 5: -3})
+        assert Character({3: 0}) == Character() == Character({})
+
+    def test_counter_accepted(self):
+        assert Character(Counter([0, 2, 2, 4])) == Character({0: 1, 2: 2, 4: 1})
+
+    def test_input_not_aliased(self):
+        coeffs = {1: 2}
+        c = Character(coeffs)
+        coeffs[1] = 5
+        assert c.coeffs == {1: 2}
 
 
 class TestWeylChar:

@@ -16,8 +16,11 @@ from verlab import (
     sgd_estimate,
     sl2_sym_provider,
 )
+from verlab import growth
 from verlab.errors import MissingHomDim
 from verlab.growth import nabla_cumulative, nabla_length_by_decomposition
+
+from oracles import partitions_pentagonal_loop
 
 
 def partitions_brute_force(n: int, max_part: int | None = None) -> int:
@@ -106,6 +109,34 @@ class TestPartitionCount:
     def test_brute_force_oracle(self):
         for n in range(31):
             assert partition_count(n) == partitions_brute_force(n)
+
+    def test_p_1000(self):
+        assert partition_count(1000) == 24061467864032622473692149727991
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pentagonal_loop_in_shuffled_order(self, monkeypatch, seed):
+        """From a fresh table, every n <= 5000 in a seeded order."""
+        ref = partitions_pentagonal_loop(5000)
+        monkeypatch.setattr(growth, "_PARTITIONS", [1])
+        order = list(range(5001))
+        random.Random(seed).shuffle(order)
+        for n in order:
+            assert partition_count(n) == ref[n], n
+
+    def test_pentagonal_loop_one_entry_at_a_time(self, monkeypatch):
+        # ascending n adds one entry per call, so every call starts on the
+        # offsets of a different table length
+        ref = partitions_pentagonal_loop(2000)
+        monkeypatch.setattr(growth, "_PARTITIONS", [1])
+        assert [partition_count(n) for n in range(2001)] == ref
+        assert growth._PARTITIONS == ref
+
+    def test_cumulative_from_a_fresh_table(self, monkeypatch):
+        ref = running_sums(partitions_pentagonal_loop(3000).__getitem__, 3001)
+        monkeypatch.setattr(growth, "_PARTITIONS", [1])
+        prov = partitions_provider()
+        for n in (3000, 0, 17, 1024, 2999):
+            assert prov.cumulative(n) == ref[n], n
 
 
 def running_sums(length, n_stop):

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 
@@ -88,6 +89,23 @@ class TestTiltingChar:
         for m in range(limit):
             assert tilting_char(p, m) == donkin_tilting_char(p, m), (p, m)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_large_m_dimension_and_shape(self, p):
+        rng = random.Random(p)
+        for m in [rng.randrange(10**6) for _ in range(3)]:
+            *low, top = base_p_digits(m + 1, p)
+            k = sum(1 for d in low if d)
+            c = tilting_char(p, m)
+            tilting_char.cache_clear()  # at most one large character alive
+            assert c.dimension() == 2**k * top * p ** len(low), (p, m)
+            coeffs = c.coeffs
+            # weight m once, then every weight of m's parity down to 0 or 1,
+            # each at least as often as the weight above it
+            assert sorted(coeffs) == list(range(m % 2, m + 1, 2)), (p, m)
+            assert coeffs[m] == 1
+            mults = [coeffs[w] for w in range(m, -1, -2)]
+            assert mults == sorted(mults), (p, m)
+
     def test_prime_checked_before_weight(self):
         with pytest.raises(ValueError, match="not prime"):
             tilting_char(4, -1)
@@ -167,6 +185,20 @@ class TestNegligible:
                 for k in range(3 * p**n + 1):
                     dec = tensor_decompose_tilt(p, gen, k)
                     assert all(m >= gen for m in dec.terms)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_each_level_generated_by_any_member(self, p):
+        """Generation certificate: for p^n - 1 <= m < p^(n+1) - 1, some
+        T_m (x) T_k with k <= m has T_{p^n-1} as a summand, so T_m generates
+        the whole level-p^n ideal.  With the closure test, every T_m
+        generates exactly the ideal of its level."""
+        for m in range(p - 1, 100):
+            n = len(base_p_digits(m + 1, p)) - 1
+            gen = p**n - 1
+            assert any(
+                tensor_decompose_tilt(p, m, k).terms.get(gen, 0) > 0
+                for k in range(m + 1)
+            ), (p, m)
 
     def test_bad_level(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from collections import Counter
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .errors import NegativeCoefficient, require_prime
+from .errors import NegativeCoefficient, base_p_digits
 
 
 class Basis(Enum):
@@ -89,22 +89,6 @@ def weyl_char(m: int) -> Character:
     if m < 0:
         raise ValueError("highest weight must be non-negative")
     return Character(dict.fromkeys(range(m, -1, -2), 1))
-
-
-def base_p_digits(m: int, p: int, width: int = 1) -> list[int]:
-    """Base-p digits of m >= 0, least significant first, zero-padded to width.
-
-    The one place an integer is written in base p: Steinberg labels,
-    p-adic digit vectors and digit counts all come from here.
-    """
-    require_prime(p)
-    if m < 0:
-        raise ValueError(f"m = {m} has no base-p digits: it must be >= 0")
-    digits = []
-    while m or len(digits) < width:
-        m, d = divmod(m, p)
-        digits.append(d)
-    return digits
 
 
 @functools.lru_cache(maxsize=None)

@@ -87,7 +87,8 @@ def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
 
 
 def _render_character(c: characters.Character) -> dict:
-    return {"weights": {str(w): k for w, k in sorted(c.coeffs.items())}}
+    # unsorted: ``main`` prints with sort_keys, which orders the string keys
+    return {"weights": {str(w): k for w, k in c.coeffs.items()}}
 
 
 def _parse_character(data: dict) -> characters.Character:
@@ -237,7 +238,7 @@ def char_decompose(char: dict, basis: str, p: int | None) -> dict:
     if p is None and basis != "weyl":
         raise UsageError(f"{basis} basis needs -p")
     dec = characters.decompose(_parse_character(char), characters.Basis(basis), p)
-    return {"terms": {str(m): mult for m, mult in sorted(dec.terms.items())}}
+    return {"terms": {str(m): mult for m, mult in dec.terms.items()}}
 
 
 # -- tilt -----------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all verlab modules, and the prime check."""
+"""Exception hierarchy and the helpers that every verlab layer shares.
+
+The helpers are the prime check, base-p digits and the level-p^n index
+bound.  They live here, in the one module every layer imports, so using
+one of them runs no other layer.
+"""
 
 import functools
 
@@ -37,6 +42,38 @@ def require_prime(p: int) -> int:
         else:
             raise ValueError(f"p = {p} is not prime")
     return p
+
+
+def base_p_digits(m: int, p: int, width: int = 1) -> list[int]:
+    """Base-p digits of m >= 0, least significant first, zero-padded to width.
+
+    The one place an integer is written in base p: Steinberg labels,
+    p-adic digit vectors and digit counts all come from here.
+    """
+    require_prime(p)
+    if m < 0:
+        raise ValueError(f"m = {m} has no base-p digits: it must be >= 0")
+    digits = []
+    while m or len(digits) < width:
+        m, d = divmod(m, p)
+        digits.append(d)
+    return digits
+
+
+def max_index(p: int, n: int) -> int:
+    """Largest simple index at level p^n: p^{n-1}(p-1) - 1."""
+    require_prime(p)
+    if n < 1:
+        raise ValueError("level exponent n must be >= 1")
+    return p ** (n - 1) * (p - 1) - 1
+
+
+def check_index(p: int, n: int, i: int) -> None:
+    """Raise IndexOutOfRange unless 0 <= i <= max_index(p, n)."""
+    if not 0 <= i <= max_index(p, n):
+        raise IndexOutOfRange(
+            f"index {i} outside [0, {max_index(p, n)}] for (p={p}, n={n})"
+        )
 
 
 class VerlabError(Exception):

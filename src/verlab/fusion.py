@@ -11,9 +11,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, NumericalInstability, require_prime
+from .errors import IndexOutOfRange, NumericalInstability, check_index, require_prime
 from .tilting import is_negligible, tensor_decompose_tilt
-from .verpn import check_index
 
 
 class FusionElement:

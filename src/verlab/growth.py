@@ -13,8 +13,7 @@ import csv
 import math
 from typing import Callable, NamedTuple
 
-from .characters import Basis, base_p_digits, decompose, weyl_char
-from .errors import MissingHomDim, require_prime
+from .errors import MissingHomDim, base_p_digits, require_prime
 
 
 # -- length engines -------------------------------------------------------
@@ -22,6 +21,8 @@ from .errors import MissingHomDim, require_prime
 
 def nabla_length_by_decomposition(p: int, m: int) -> int:
     """Independent route: total simple multiplicity of the Weyl character."""
+    from .characters import Basis, decompose, weyl_char  # the one use of the ring here
+
     return decompose(weyl_char(m), Basis.SIMPLE, p).total_multiplicity()
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .characters import base_p_digits
-from .errors import BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower, require_prime
+from .errors import (
+    BadTopDim, InsufficientPrecision, NotAPurePower, NotPPower, base_p_digits, require_prime
+)
 
 DEFAULT_TRUNCATION = 64
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 
-from .characters import Basis, Character, Decomposition, base_p_digits, decompose
-from .errors import require_prime
+from .characters import Basis, Character, Decomposition, decompose
+from .errors import base_p_digits, require_prime
 
 
 def weyl_factors(p: int, m: int) -> list[int]:

@@ -12,24 +12,7 @@ import os
 from enum import Enum
 from typing import NamedTuple
 
-from .characters import base_p_digits
-from .errors import DigitOutOfRange, EvenPrime, IndexOutOfRange, require_prime
-
-
-def max_index(p: int, n: int) -> int:
-    """Largest simple index at level p^n: p^{n-1}(p-1) - 1."""
-    require_prime(p)
-    if n < 1:
-        raise ValueError("level exponent n must be >= 1")
-    return p ** (n - 1) * (p - 1) - 1
-
-
-def check_index(p: int, n: int, i: int) -> None:
-    """Raise IndexOutOfRange unless 0 <= i <= max_index(p, n)."""
-    if not 0 <= i <= max_index(p, n):
-        raise IndexOutOfRange(
-            f"index {i} outside [0, {max_index(p, n)}] for (p={p}, n={n})"
-        )
+from .errors import DigitOutOfRange, EvenPrime, base_p_digits, check_index, max_index, require_prime
 
 
 def steinberg_digits(p: int, n: int, i: int) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ a root of unity or products of fusion elements; the tests compare against
 them.  Each is a plain function of the public data (``coeffs``, ``mults``
 and the cached ``fuse`` rows), so it checks the library from outside.
 ``partitions_pentagonal_loop`` is the term-by-term recurrence that the
-library's bulk partition table must reproduce.
+library's bulk partition table must reproduce, and ``nabla_length_pair``
+reads the dual Weyl lengths off a product of 2x2 digit matrices.
 """
 from __future__ import annotations
 
@@ -73,3 +74,27 @@ def partitions_pentagonal_loop(n: int) -> list[int]:
             k += 1
         table.append(total)
     return table
+
+
+def digit_matrices(p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """mu(0), ..., mu(p-1): v(p*b + r) = mu(r) v(b) for v(m) = (ell(m), ell(m-1)).
+
+    ell is p-regular (Allouche-Shallit): with last digit r, ell(p*b + r) is
+    ell(b) + ell(b-1) for r <= p-2 and ell(b) for r = p-1, and the weight
+    before it ends in r-1 over b, or in p-1 over b-1 when r = 0.
+    """
+    return [((1, 1), (0, 1))] + [((1, 1), (1, 1))] * (p - 2) + [((1, 0), (1, 1))]
+
+
+def nabla_length_pair(p: int, m: int) -> tuple[int, int]:
+    """(ell(m), ell(m-1)) as mu(r_0) mu(r_1) ... mu(r_k) (1, 0), r_0 the last digit of m."""
+    mu = digit_matrices(p)
+    digits = []
+    while m:
+        m, r = divmod(m, p)
+        digits.append(r)
+    x, y = 1, 0  # v(0) = (ell(0), ell(-1))
+    for r in reversed(digits):
+        (a, b), (c, d) = mu[r]
+        x, y = a * x + b * y, c * x + d * y
+    return x, y

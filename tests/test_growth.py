@@ -20,7 +20,7 @@ from verlab import growth
 from verlab.errors import MissingHomDim
 from verlab.growth import nabla_cumulative, nabla_length_by_decomposition
 
-from oracles import partitions_pentagonal_loop
+from oracles import digit_matrices, nabla_length_pair, partitions_pentagonal_loop
 
 
 def partitions_brute_force(n: int, max_part: int | None = None) -> int:
@@ -98,6 +98,40 @@ class TestNablaLength:
         # chi_p = L_p + L_{p-2}
         for p in (3, 5):
             assert nabla_length(p, p) == 2
+
+
+class TestNablaLengthMatrices:
+    """ell against the exact 2x2 digit-matrix oracle, and its growth exponent."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_every_small_m(self, p):
+        lengths = [nabla_length(p, m) for m in range(3000)]
+        for m in range(3000):
+            assert nabla_length_pair(p, m) == (lengths[m], lengths[m - 1] if m else 0), (p, m)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_seeded_large_m(self, p):
+        rng = random.Random(1000 + p)
+        for _ in range(50):
+            m = rng.randrange(1, 2**300)
+            assert nabla_length_pair(p, m) == (nabla_length(p, m), nabla_length(p, m - 1)), (p, m)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_digit_sum_spectrum(self, p):
+        # sum_r mu(r) = [[p, p-1], [p-1, p]]: eigenvectors (1, 1) and (1, -1)
+        # with eigenvalues 2p - 1 and 1, so alpha = log_p(2p - 1)
+        mus = digit_matrices(p)
+        total = tuple(tuple(sum(mu[i][j] for mu in mus) for j in range(2)) for i in range(2))
+        assert total == ((p, p - 1), (p - 1, p))
+        for vec, eigenvalue in (((1, 1), 2 * p - 1), ((1, -1), 1)):
+            image = tuple(row[0] * vec[0] + row[1] * vec[1] for row in total)
+            assert image == (eigenvalue * vec[0], eigenvalue * vec[1])
+        # summing v(p*b + r) = mu(r) v(b) over every r and b < p^(k-1) gives
+        # sum_{m < p^k} v(m) = total^k (1, 0), so S(p^k) = ((2p-1)^k + 1) / 2
+        for k in range(40):
+            assert nabla_cumulative(p, p**k - 1) == ((2 * p - 1) ** k + 1) // 2, (p, k)
 
 
 class TestPartitionCount:

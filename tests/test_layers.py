@@ -1,6 +1,7 @@
 """Each layer runs on first use: a fresh process runs only the layers it calls."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -75,9 +76,12 @@ print("ok")
 """
 
 
-def run_script(script, *args):
-    """Run ``script`` with ``args`` in a fresh interpreter that has LAYERS bound."""
-    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+def run_script(script, *args, src=SRC_DIR):
+    """Run ``script`` with ``args`` in a fresh interpreter that has LAYERS bound.
+
+    ``verlab`` is imported from the directory ``src``.
+    """
+    env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("VERLAB_PREC", None)
     return subprocess.run(
         [sys.executable, "-c", f"LAYERS = {LAYERS!r}\n{script}", *args],
@@ -87,11 +91,16 @@ def run_script(script, *args):
 
 @pytest.mark.parametrize("command, layers", [
     ("char weyl -m 3", {"errors", "characters"}),
-    ("verpn oddline -p 3 -n 2", {"errors", "characters", "verpn"}),
-    ("padic pow -p 3 --exp 2", {"errors", "characters", "padic"}),
-    ("sgd estimate --provider constant --nmax 16", {"errors", "characters", "growth"}),
-    ("verp fuse -p 5 -a 1 -b 3", {"errors", "characters", "tilting", "verpn", "fusion"}),
+    ("verpn oddline -p 3 -n 2", {"errors", "verpn"}),
+    ("padic pow -p 3 --exp 2", {"errors", "padic"}),
+    ("sgd estimate --provider constant --nmax 16", {"errors", "growth"}),
+    ("verp fuse -p 5 -a 1 -b 3", {"errors", "characters", "tilting", "fusion"}),
     ("verp fuse -p x -a 1 -b 1", {"errors"}),
+    ("tilt fuse-decompose -p 5 -a 3 -b 3", {"errors", "characters", "tilting"}),
+    ("verpn sympower -p 3 -n 2 -i 4 -k 2", {"errors", "verpn"}),
+    ("padic recover -p 2 --series [1,1]", {"errors", "padic"}),
+    ("sgd estimate --provider sl2_sym -p 3 --nmax 64", {"errors", "growth"}),
+    ("verp gd -p 7 -a 1 --nmax 12", {"errors", "characters", "tilting", "fusion"}),
 ])
 def test_cli_command_runs_only_its_layers(command, layers):
     res = run_script(CLI_THEN_REPORT, *command.split())
@@ -124,3 +133,52 @@ def test_package_contract():
     assert res.returncode == 0, res.stderr
     ran, ok = res.stdout.splitlines()
     assert json.loads(ran) == [] and ok == "ok"
+
+
+# Commands that use no symmetric-power fact: they run without the fact file.
+NO_FACT_COMMANDS = (
+    "verp fuse -p 5 -a 1 -b 3",
+    "verp fpdim -p 5 -a 1",
+    "verp gd -p 7 -a 1 --nmax 12",
+    "tilt fuse-decompose -p 5 -a 3 -b 3",
+    "padic pow -p 3 --exp 2",
+    "sgd estimate --provider sl2_sym -p 3 --nmax 64",
+    "char tilt -p 3 -m 5",
+)
+
+# Printed last: the error that the first symmetric-power query raises
+# after a fusion product has run.
+FUSE_THEN_SYM_POWER = """
+import verlab
+verlab.fuse(5, 1, 3)
+try:
+    verlab.sym_power_status(3, 1, 1, 2)
+except (FileNotFoundError, AttributeError) as exc:
+    print(type(exc).__name__)
+"""
+
+
+@pytest.fixture(scope="module")
+def without_facts(tmp_path_factory):
+    """A copy of the package without ``data/sym_power_facts.json``."""
+    root = tmp_path_factory.mktemp("no_facts")
+    shutil.copytree(
+        Path(SRC_DIR) / "verlab", root / "verlab",
+        ignore=shutil.ignore_patterns("sym_power_facts.json", "__pycache__"),
+    )
+    return root
+
+
+@pytest.mark.parametrize("command", NO_FACT_COMMANDS)
+def test_command_runs_without_the_fact_file(without_facts, command):
+    intact = run_script(CLI_THEN_REPORT, *command.split())
+    res = run_script(CLI_THEN_REPORT, *command.split(), src=without_facts)
+    assert (res.returncode, intact.returncode) == (0, 0), res.stderr
+    assert res.stdout == intact.stdout
+
+
+def test_missing_fact_file_surfaces_on_first_use(without_facts):
+    # no layer that fusion runs reads the knowledge base, so the first
+    # symmetric-power query is what runs verpn and meets the missing file
+    res = run_script(FUSE_THEN_SYM_POWER, src=without_facts)
+    assert res.stdout.split() == ["FileNotFoundError"], res.stderr

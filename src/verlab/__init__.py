@@ -11,10 +11,10 @@ import sys
 
 # The public names, by the layer that defines them.
 _PUBLIC = {
-    "errors": "",
+    "errors": "max_index",
     "characters": "Basis Character Decomposition decompose simple_char weyl_char",
     "tilting": "is_negligible tensor_decompose_tilt tilting_char",
-    "verpn": "Sym SymStatus embed max_index odd_line steinberg_digits "
+    "verpn": "Sym SymStatus embed odd_line steinberg_digits "
     "steinberg_product sym_power_status",
     "fusion": "FusionElement clebsch_gordan_truncated fpdim fuse gd_estimate "
     "verlinde_oracle",

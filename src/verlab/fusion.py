@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, NumericalInstability, check_index, require_prime
-from .tilting import is_negligible, tensor_decompose_tilt
+from . import tilting
 
 
 class FusionElement:
@@ -63,8 +63,8 @@ def fuse(p: int, a: int, b: int) -> FusionElement:
     """
     check_index(p, 1, a)
     check_index(p, 1, b)
-    terms = sorted(tensor_decompose_tilt(p, a, b).terms.items())
-    return FusionElement(p, {m: n for m, n in terms if not is_negligible(p, 1, m)})
+    terms = sorted(tilting.tensor_decompose_tilt(p, a, b).terms.items())
+    return FusionElement(p, {m: n for m, n in terms if not tilting.is_negligible(p, 1, m)})
 
 
 def clebsch_gordan_truncated(p: int, a: int, b: int, c: int) -> int:

@@ -9,7 +9,6 @@ silently assuming the limit exists.
 """
 from __future__ import annotations
 
-import csv
 import math
 from typing import Callable, NamedTuple
 
@@ -178,6 +177,8 @@ def constant_provider() -> LengthProvider:
 
 def csv_provider(path: str) -> LengthProvider:
     """Load a provider from a CSV with header ``n,length``."""
+    import csv
+
     table: dict[int, int] = {}
     with open(path, newline="") as fh:
         rows = csv.DictReader(fh, restval="")

@@ -7,6 +7,7 @@ rule (with its provenance) or answers Unknown.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from enum import Enum
@@ -74,15 +75,11 @@ class SymStatus(NamedTuple):
     has_unit_summand: bool
 
 
+@functools.cache
 def _load_fact_file() -> dict:
     path = os.path.join(os.path.dirname(__file__), "data", "sym_power_facts.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-_FACT_FILE = _load_fact_file()
-FACTS = tuple(_FACT_FILE["facts"])
-UNIT_SUMMAND_FACTS = tuple(_FACT_FILE["unit_summand_facts"])
 
 
 def _vanishing_bounds(p: int, n: int, i: int) -> list[tuple[int, str]]:
@@ -134,9 +131,10 @@ def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
     if k < 0:
         raise ValueError("power k must be >= 0")
 
+    facts = _load_fact_file()
     summand = any(
         f["p"] == p and f["n"] == n and f["index"] == i and f["power"] == k
-        for f in UNIT_SUMMAND_FACTS
+        for f in facts["unit_summand_facts"]
     )
 
     if k == 0:
@@ -144,7 +142,7 @@ def sym_power_status(p: int, n: int, i: int, k: int) -> SymStatus:
     if i == 0:
         return SymStatus(Sym.IS_UNIT, "all symmetric powers of the unit are the unit", summand)
 
-    matching = [f for f in FACTS if f["p"] == p and f["n"] == n and f["index"] == i]
+    matching = [f for f in facts["facts"] if f["p"] == p and f["n"] == n and f["index"] == i]
     for f in matching:
         if f["status"] == "IsUnit" and k == f["power"]:
             return SymStatus(Sym.IS_UNIT, f["provenance"], summand)

@@ -5,8 +5,9 @@ a root of unity or products of fusion elements; the tests compare against
 them.  Each is a plain function of the public data (``coeffs``, ``mults``
 and the cached ``fuse`` rows), so it checks the library from outside.
 ``partitions_pentagonal_loop`` is the term-by-term recurrence that the
-library's bulk partition table must reproduce, and ``nabla_length_pair``
-reads the dual Weyl lengths off a product of 2x2 digit matrices.
+library's bulk partition table must reproduce, ``nabla_length_pair``
+reads the dual Weyl lengths off a product of 2x2 digit matrices, and
+``jordan_fusion`` reads fusion rules off Jordan blocks, with no SL2 at all.
 """
 from __future__ import annotations
 
@@ -98,3 +99,51 @@ def nabla_length_pair(p: int, m: int) -> tuple[int, int]:
         (a, b), (c, d) = mu[r]
         x, y = a * x + b * y, c * x + d * y
     return x, y
+
+
+def _span_basis(vectors: list[list[int]], p: int) -> list[list[int]]:
+    """A basis over F_p of the span of ``vectors``, each row monic at its pivot."""
+    pivots: dict[int, list[int]] = {}  # pivot column -> row; zero at earlier pivots
+    for v in vectors:
+        for col, row in pivots.items():
+            if v[col]:
+                v = [(x - v[col] * y) % p for x, y in zip(v, row)]
+        col = next((i for i, x in enumerate(v) if x), None)
+        if col is not None:
+            inv = pow(v[col], -1, p)
+            pivots[col] = [x * inv % p for x in v]
+    return list(pivots.values())
+
+
+def jordan_fusion(p: int, a: int, b: int) -> dict[int, int]:
+    """N_{ab}^c of Ver_p as the semisimplification of Rep(Z/p) over F_p.
+
+    The generator g acts on J_{a+1} (x) J_{b+1} as g (x) g, each factor one
+    unipotent Jordan block.  With N = g (x) g - 1, the number of Jordan
+    blocks of size >= k is rank N^{k-1} - rank N^k.  Blocks J_p are
+    negligible and are dropped; J_{c+1} becomes L_c.
+    """
+    def apply_n(v: list[int]) -> list[int]:
+        # N = n (x) 1 + 1 (x) n + n (x) n, n the shift e_i -> e_{i+1} of a block
+        out = [0] * len(v)
+        for i in range(a + 1):
+            for j in range(b + 1):
+                x = v[i * (b + 1) + j]
+                if x:
+                    for di, dj in ((1, 0), (0, 1), (1, 1)):
+                        if i + di <= a and j + dj <= b:
+                            k = (i + di) * (b + 1) + j + dj
+                            out[k] = (out[k] + x) % p
+        return out
+
+    dim = (a + 1) * (b + 1)
+    ranks = []  # rank N^0, rank N^1, ... while nonzero
+    image = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    while image:
+        ranks.append(len(image))
+        image = _span_basis([apply_n(v) for v in image], p)
+    ranks += [0, 0]
+    # blocks of size exactly k: r_{k-1} - 2 r_k + r_{k+1}; J_p and up are dropped
+    sizes = range(1, min(p, len(ranks) - 1))
+    blocks = {k - 1: ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in sizes}
+    return {c: n for c, n in blocks.items() if n}

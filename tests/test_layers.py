@@ -101,6 +101,11 @@ def run_script(script, *args, src=SRC_DIR):
     ("padic recover -p 2 --series [1,1]", {"errors", "padic"}),
     ("sgd estimate --provider sl2_sym -p 3 --nmax 64", {"errors", "growth"}),
     ("verp gd -p 7 -a 1 --nmax 12", {"errors", "characters", "tilting", "fusion"}),
+    # the S-matrix oracle is trigonometry, and an index error stops before
+    # any product: neither runs the character ring or the tilting quotient
+    ("verp oracle -p 5 -a 1 -b 3 -c 2", {"errors", "fusion"}),
+    ("verp fuse -p 5 -a 9 -b 1", {"errors", "fusion"}),
+    ("verp fpdim -p 7 -a 9", {"errors", "fusion"}),
 ])
 def test_cli_command_runs_only_its_layers(command, layers):
     res = run_script(CLI_THEN_REPORT, *command.split())
@@ -128,6 +133,23 @@ def test_cli_imports_neither_dataclasses_nor_inspect(command):
     assert json.loads(res.stdout.splitlines()[-1]) == [], res.stderr
 
 
+# Printed last: whether the CLI run imported ``csv``, which only the CSV
+# provider reads with.
+CLI_THEN_REPORT_CSV = CLI_IMPORTS + """
+print(json.dumps("csv" in new))
+"""
+
+
+def test_cli_constant_provider_imports_no_csv():
+    res = run_script(CLI_THEN_REPORT_CSV, *"sgd estimate --provider constant --nmax 16".split())
+    assert json.loads(res.stdout.splitlines()[-1]) is False, res.stderr
+
+
+def test_max_index_runs_only_errors():
+    res = run_script("import verlab\nassert verlab.max_index(3, 1) == 1\n" + RAN)
+    assert json.loads(res.stdout.splitlines()[-1]) == ["errors"], res.stderr
+
+
 def test_package_contract():
     res = run_script(PACKAGE_CONTRACT)
     assert res.returncode == 0, res.stderr
@@ -144,6 +166,7 @@ NO_FACT_COMMANDS = (
     "padic pow -p 3 --exp 2",
     "sgd estimate --provider sl2_sym -p 3 --nmax 64",
     "char tilt -p 3 -m 5",
+    "verpn oddline -p 3 -n 2",
 )
 
 # Printed last: the error that the first symmetric-power query raises
@@ -155,6 +178,17 @@ try:
     verlab.sym_power_status(3, 1, 1, 2)
 except (FileNotFoundError, AttributeError) as exc:
     print(type(exc).__name__)
+"""
+
+
+# Printed last: the errors of two symmetric-power queries in one process.
+SYM_POWER_TWICE = """
+import verlab
+for _ in range(2):
+    try:
+        verlab.sym_power_status(3, 1, 1, 2)
+    except (FileNotFoundError, AttributeError) as exc:
+        print(type(exc).__name__)
 """
 
 
@@ -182,3 +216,10 @@ def test_missing_fact_file_surfaces_on_first_use(without_facts):
     # symmetric-power query is what runs verpn and meets the missing file
     res = run_script(FUSE_THEN_SYM_POWER, src=without_facts)
     assert res.stdout.split() == ["FileNotFoundError"], res.stderr
+
+
+def test_missing_fact_file_surfaces_on_every_query(without_facts):
+    # the file is read at a query, not when verpn runs, so a failed read
+    # leaves the layer whole and a retry meets the same missing file
+    res = run_script(SYM_POWER_TWICE, src=without_facts)
+    assert res.stdout.split() == ["FileNotFoundError"] * 2, res.stderr

@@ -10,8 +10,10 @@ from verlab import (
     sym_power_status,
 )
 from verlab.errors import DigitOutOfRange, EvenPrime, IndexOutOfRange
-from verlab.verpn import FACTS, UNIT_SUMMAND_FACTS, _load_fact_file
+from verlab.verpn import _load_fact_file
 
+FACTS = tuple(_load_fact_file()["facts"])
+UNIT_SUMMAND_FACTS = tuple(_load_fact_file()["unit_summand_facts"])
 COMMENTS = _load_fact_file()["comments"]
 
 

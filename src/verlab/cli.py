@@ -260,7 +260,7 @@ def verp_fuse(p: int, a: int, b: int) -> list:
     return [{"L": i, "mult": m} for i, m in sorted(fusion.fuse(p, a, b).mults.items())]
 
 
-@command("verp", "oracle", "numeric S-matrix sum", "-p", "-a", "-b", "-c")
+@command("verp", "oracle", "exact S-matrix sum over 2p-th roots of unity", "-p", "-a", "-b", "-c")
 def verp_oracle(p: int, a: int, b: int, c: int) -> int:
     return fusion.verlinde_oracle(p, a, b, c)
 

@@ -100,10 +100,6 @@ class EvenPrime(VerlabError):
     """Operation requires an odd prime."""
 
 
-class NumericalInstability(VerlabError):
-    """Floating-point residual too large to round safely."""
-
-
 class InsufficientPrecision(VerlabError):
     """Not enough p-adic digits to determine the requested truncation."""
 

@@ -1,9 +1,9 @@
 """Semisimple fusion ring of the level-p Verlinde quotient.
 
 Fusion products are computed structurally through the tilting quotient
-(tensor-decompose, drop negligible summands).  The trigonometric S-matrix
-formula and the truncated Clebsch-Gordan closed form are kept as
-independent oracles, never as the production route.
+(tensor-decompose, drop negligible summands).  The exact S-matrix sum and
+the truncated Clebsch-Gordan closed form are kept as independent oracles,
+never as the production route.  The only floats are outputs (fpdim, gd).
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import IndexOutOfRange, NumericalInstability, check_index, require_prime
+from .errors import IndexOutOfRange, check_index, require_prime
 from . import tilting
 
 
@@ -23,12 +23,14 @@ class FusionElement:
     def __init__(self, p: int, mults: dict[int, int] | None = None):
         self._p = require_prime(p)
         mults = mults or {}
+        if any(type(x) is not int for item in mults.items() for x in item):
+            raise ValueError("indices and multiplicities must be ints")
         if mults:
             check_index(p, 1, min(mults))
             check_index(p, 1, max(mults))
         if any(m < 0 for m in mults.values()):
             raise ValueError("multiplicities must be non-negative")
-        self._mults = {int(i): int(m) for i, m in mults.items() if m}
+        self._mults = {i: m for i, m in mults.items() if m}
 
     @classmethod
     def simple(cls, p: int, a: int) -> "FusionElement":
@@ -79,29 +81,24 @@ def clebsch_gordan_truncated(p: int, a: int, b: int, c: int) -> int:
 
 
 def verlinde_oracle(p: int, a: int, b: int, c: int) -> int:
-    """Numeric S-matrix oracle for the fusion coefficient N_{ab}^c.
+    """S-matrix oracle for the fusion coefficient N_{ab}^c, summed exactly.
 
-    Uses S_{xy} proportional to sin((x+1)(y+1)pi/p) and the standard sum
-    over the simple labels; the result is rounded and the residual must be
-    below 1e-6.  The output slot c may be p-1 (one past the last simple),
-    where the S-column vanishes and the coefficient is identically 0.
+    With S_{xy} proportional to sin((x+1)(y+1)pi/p), and the sum taken over
+    all 2p-th roots of unity q (q = +-1 add 0), N_{ab}^c is half the sum of
+    the coefficients g_m, 2p | m, of g = (2 - q^2 - q^-2)[a+1][b+1][c+1] =
+    -(q^{a+1} - q^{-a-1})(q^{b+1} - q^{-b-1}) sum_{j=0}^{c} q^{c-2j}.  As g
+    is symmetric under q -> 1/q, that is the number of j <= c with
+    e + c - 2j = 0 mod 2p for e = a-b, less that for e = a+b+2: at most one
+    each, since c < p.  At the slot c = p-1, past the simples, it is 0.
     """
     check_index(p, 1, a)
     check_index(p, 1, b)
     if not 0 <= c <= p - 1:
         raise IndexOutOfRange(f"output index {c} outside [0, {p - 1}] for p={p}")
-    total = 0.0
-    for j in range(p - 1):
-        s = lambda x: math.sin((x + 1) * (j + 1) * math.pi / p)
-        total += s(a) * s(b) * s(c) / s(0)
-    total *= 2.0 / p
-    rounded = round(total)
-    if abs(total - rounded) >= 1e-6:
-        raise NumericalInstability(
-            f"Verlinde sum residual {abs(total - rounded):.2e} for "
-            f"(p={p}, {a}, {b}, {c})"
-        )
-    return int(rounded)
+    if (a + b + c) % 2:
+        return 0
+    hit = lambda e: (e + c) // 2 % p <= c  # the only j in [0, p) with e + c = 2j mod 2p
+    return hit(a - b) - hit(a + b + 2)
 
 
 def fpdim(p: int, a: int) -> float:

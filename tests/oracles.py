@@ -6,8 +6,10 @@ them.  Each is a plain function of the public data (``coeffs``, ``mults``
 and the cached ``fuse`` rows), so it checks the library from outside.
 ``partitions_pentagonal_loop`` is the term-by-term recurrence that the
 library's bulk partition table must reproduce, ``nabla_length_pair``
-reads the dual Weyl lengths off a product of 2x2 digit matrices, and
-``jordan_fusion`` reads fusion rules off Jordan blocks, with no SL2 at all.
+reads the dual Weyl lengths off a product of 2x2 digit matrices,
+``jordan_fusion`` reads fusion rules off Jordan blocks, with no SL2 at all,
+and ``verlinde_float_sum`` is the S-matrix sum in floating point, the
+numeric check on the library's exact Verlinde count.
 """
 from __future__ import annotations
 
@@ -55,6 +57,22 @@ def fusion_product(x: FusionElement, y: FusionElement) -> FusionElement:
             for c, n in fuse(x.p, a, b).mults.items():
                 out[c] = out.get(c, 0) + ma * mb * n
     return FusionElement(x.p, out)
+
+
+def verlinde_float_sum(p: int, a: int, b: int, c: int) -> int:
+    """N_{ab}^c as the float sum over simple labels j of S_aj S_bj S_cj / S_0j.
+
+    S_{xy} is proportional to sin((x+1)(y+1)pi/p).  The sum is rounded to
+    the nearest integer, and its residual must be below 1e-6.
+    """
+    total = 0.0
+    for j in range(p - 1):
+        s = lambda x: math.sin((x + 1) * (j + 1) * math.pi / p)
+        total += s(a) * s(b) * s(c) / s(0)
+    total *= 2.0 / p
+    rounded = round(total)
+    assert abs(total - rounded) < 1e-6, f"residual {abs(total - rounded):.2e} at {(p, a, b, c)}"
+    return rounded
 
 
 def partitions_pentagonal_loop(n: int) -> list[int]:

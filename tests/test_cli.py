@@ -73,6 +73,27 @@ class TestFuseCommand:
         assert res.stdout == 'verp.fuse: [{"L": 2, "mult": 1}]\n'
 
 
+class TestOracleCommand:
+    """The exact Verlinde count answers at once where a sum over p terms could not."""
+
+    @pytest.mark.parametrize("c, result", [("1", 1), ("1000002", 0)])
+    def test_answers_at_large_p(self, c, result, schema):
+        res = run_process("verp", "oracle", "-p", "1000003", "-a", "500000", "-b", "500001",
+                          "-c", c)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["result"] == result
+
+    def test_output_index_past_p_minus_one_exit_1(self, schema):
+        res = run_process("verp", "oracle", "-p", "1000003", "-a", "500000", "-b", "500001",
+                          "-c", "1000003")
+        assert res.returncode == 1, res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert out["error"]["name"] == "IndexOutOfRange"
+
+
 class TestPadicCommands:
     def test_finite(self):
         res = invoke("padic", "finite", "--top", "2")

@@ -15,7 +15,7 @@ from verlab import (
 from verlab import fusion
 from verlab.errors import IndexOutOfRange
 
-from oracles import fusion_product, quantum_dimension
+from oracles import fusion_product, quantum_dimension, verlinde_float_sum
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -82,6 +82,42 @@ class TestOracleEquivalence:
         assert verlinde_oracle(5, 1, 3, 4) == 0
 
 
+class TestExactVerlinde:
+    """The exact Verlinde count against the float S-matrix sum it replaces."""
+
+    def test_matches_float_sum_for_small_p(self):
+        triples = 0
+        for p in SMALL_PRIMES:
+            for a in range(p - 1):
+                for b in range(p - 1):
+                    for c in range(p):
+                        assert verlinde_oracle(p, a, b, c) == verlinde_float_sum(p, a, b, c)
+                        triples += 1
+        assert triples == 3318
+
+    @pytest.mark.parametrize("p", [101, 1009, 100003])
+    def test_matches_float_sum_on_seeded_triples(self, p):
+        rng = random.Random(p)
+        for _ in range(4):
+            a, b = rng.randrange(p - 1), rng.randrange(p - 1)
+            top = min(a + b, 2 * (p - 2) - (a + b))
+            # one c inside the window |a-b| <= c <= top when it is not empty, one anywhere
+            cs = [rng.randrange(p)]
+            if abs(a - b) <= top:
+                cs.append(abs(a - b) + 2 * rng.randrange((top - abs(a - b)) // 2 + 1))
+            for c in cs:
+                assert verlinde_oracle(p, a, b, c) == verlinde_float_sum(p, a, b, c), (a, b, c)
+
+    def test_answers_at_once_past_any_float_loop(self):
+        p = 2**61 - 1
+        assert verlinde_oracle(p, 3, 2**60, 2**60 - 1) == 1
+        assert verlinde_oracle(p, p - 2, p - 2, 0) == 1
+        assert verlinde_oracle(p, p - 2, p - 2, 2) == 0
+        assert verlinde_oracle(p, 5, 7, p - 1) == 0
+        with pytest.raises(IndexOutOfRange):
+            verlinde_oracle(p, 5, 7, p)
+
+
 class TestFusionElement:
     @pytest.mark.parametrize("mults", [{-1: 1}, {4: 1}, {-1: 1, 2: 1}, {0: 1, 2: 1, 4: 0}])
     def test_index_range(self, mults):
@@ -91,6 +127,13 @@ class TestFusionElement:
     def test_negative_multiplicity(self):
         with pytest.raises(ValueError):
             FusionElement(5, {0: 1, 2: -1})
+
+    @pytest.mark.parametrize(
+        "mults", [{1.5: 1}, {1: 1.9}, {1.0: 1}, {1: 1.0}, {True: 1}, {1: True}, {"1": 1}]
+    )
+    def test_non_int_rejected(self, mults):
+        with pytest.raises(ValueError, match="must be ints"):
+            FusionElement(5, mults)
 
 
 class TestRingAxioms:

@@ -101,8 +101,9 @@ def run_script(script, *args, src=SRC_DIR):
     ("padic recover -p 2 --series [1,1]", {"errors", "padic"}),
     ("sgd estimate --provider sl2_sym -p 3 --nmax 64", {"errors", "growth"}),
     ("verp gd -p 7 -a 1 --nmax 12", {"errors", "characters", "tilting", "fusion"}),
-    # the S-matrix oracle is trigonometry, and an index error stops before
-    # any product: neither runs the character ring or the tilting quotient
+    # the S-matrix oracle is an exact count in fusion itself, and an index
+    # error stops before any product: neither runs the character ring or
+    # the tilting quotient
     ("verp oracle -p 5 -a 1 -b 3 -c 2", {"errors", "fusion"}),
     ("verp fuse -p 5 -a 9 -b 1", {"errors", "fusion"}),
     ("verp fpdim -p 7 -a 9", {"errors", "fusion"}),

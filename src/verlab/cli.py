@@ -265,7 +265,7 @@ def verp_oracle(p: int, a: int, b: int, c: int) -> int:
     return fusion.verlinde_oracle(p, a, b, c)
 
 
-@command("verp", "fpdim", "exact Perron-Frobenius certificate of [a+1]_q", "-p", "-a")
+@command("verp", "fpdim", "Perron-Frobenius certificate from the rows of L_1", "-p", "-a")
 def verp_fpdim(p: int, a: int) -> float:
     return fusion.fpdim(p, a)
 

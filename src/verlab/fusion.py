@@ -3,7 +3,8 @@
 Fusion products are computed structurally through the tilting quotient
 (tensor-decompose, drop negligible summands).  The exact S-matrix sum and
 the truncated Clebsch-Gordan closed form are kept as independent oracles,
-never as the production route.  The only floats are outputs (fpdim, gd).
+never as the production route.  fpdim certifies every [a+1]_q at once from
+the p - 1 rows of the generator L_1.  The only floats are outputs (fpdim, gd).
 """
 from __future__ import annotations
 
@@ -102,33 +103,21 @@ def verlinde_oracle(p: int, a: int, b: int, c: int) -> int:
 
 
 def fpdim(p: int, a: int) -> float:
-    """Frobenius-Perron dimension of L_a, certified exactly.
+    """Frobenius-Perron dimension of L_a, certified exactly from the rows of L_1.
 
-    The candidate is the quantum dimension [a+1]_q, q = exp(i*pi/p).  The
-    vector v_b = [b+1]_q is strictly positive, so by Perron-Frobenius
-    M v = [a+1]_q v for the nonnegative fusion matrix M of L_a proves
-    rho(M) = [a+1]_q.  Row b of that identity, sum_c N_{ab}^c [c+1] =
-    [a+1][b+1] = sum of [c+1] over c = |a-b|, |a-b|+2, ..., a+b, is compared
-    in integer coordinates on the basis [1], ..., [p//2], reached through
-    [k+2p] = [k], [2p-k] = -[k] and [p-k] = [k].
+    Each row L_g (x) L_b, g = min(1, p-2) (g = 0 only at p = 2, where the
+    ring is Z), must be the truncated Clebsch-Gordan row L_{b-g} + L_{b+g},
+    terms outside 0..p-2 dropped.  Then M v = [2]_q v for the fusion matrix
+    M of L_1 and the strictly positive v_b = [b+1]_q, q = exp(i*pi/p), so by
+    Perron-Frobenius FPdim(L_1) = [2]_q; as L_1 generates the ring,
+    FPdim(L_a) = [a+1]_q for every a.  A row that differs raises
+    AssertionError.
     """
     check_index(p, 1, a)
-
-    def fold(terms) -> list[int]:
-        coords = [0] * (p // 2 + 1)  # slot 0 collects [0] = [p] = 0
-        for k, n in terms:
-            k %= 2 * p
-            if k > p:
-                k, n = 2 * p - k, -n
-            coords[min(k, p - k)] += n
-        return coords[1:]
-
+    g = min(1, p - 2)
     for b in range(p - 1):
-        row = fold((c + 1, n) for c, n in fuse(p, a, b)._mults.items())
-        if row != fold((c + 1, 1) for c in range(abs(a - b), a + b + 1, 2)):
-            raise AssertionError(
-                f"fusion row L_{a} (x) L_{b} breaks M v = [a+1]_q v at p={p}"
-            )
+        if fuse(p, g, b)._mults != {c: 1 for c in (b - g, b + g) if 0 <= c <= p - 2}:
+            raise AssertionError(f"fusion row L_{g} (x) L_{b} is not truncated CG at p={p}")
     return math.sin((a + 1) * math.pi / p) / math.sin(math.pi / p)
 
 

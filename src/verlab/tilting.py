@@ -61,4 +61,6 @@ def is_negligible(p: int, n: int, m: int) -> bool:
     require_prime(p)
     if n < 1:
         raise ValueError("level exponent n must be >= 1")
+    if m < 0:
+        raise ValueError("highest weight must be non-negative")
     return m >= p**n - 1

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,17 @@ class TestOracleCommand:
         out = json.loads(res.stdout)
         jsonschema.validate(out, schema)
         assert out["error"]["name"] == "IndexOutOfRange"
+
+
+class TestFpdimCommand:
+    """The L_1-row certificate costs p - 1 small rows whatever a is."""
+
+    def test_answers_at_p1009(self, schema):
+        res = run_process("verp", "fpdim", "-p", "1009", "-a", "500")
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        jsonschema.validate(out, schema)
+        assert abs(out["result"] - math.sin(501 * math.pi / 1009) / math.sin(math.pi / 1009)) < 1e-12
 
 
 class TestPadicCommands:

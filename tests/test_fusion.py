@@ -250,20 +250,24 @@ class TestFpdim:
     def test_certificate_holds_at_p127(self, a):
         assert fpdim(127, a) == self.closed_form(127, a)
 
-    @pytest.mark.parametrize("p, a, b", [(5, 1, 0), (61, 30, 59)])
-    def test_certificate_rejects_perturbed_row(self, monkeypatch, p, a, b):
+    # (p, queried a, b, replaced row L_1 (x) L_b): the L_1 rows certify every a.
+    # At p = 7, [5]_q = [2]_q, so L_4 in place of L_1 in L_1 (x) L_2 = L_1 + L_3
+    # keeps the row's sum of [c+1]_q: only the exact row sees the swap.
+    @pytest.mark.parametrize("p, a, b, row", [
+        pytest.param(5, 1, 0, {1: 2}, id="5-1-0"),
+        pytest.param(61, 30, 59, {58: 2}, id="61-30-59"),
+        pytest.param(7, 1, 2, {3: 1, 4: 1}, id="7-1-2-swap"),
+        pytest.param(7, 4, 2, {3: 1, 4: 1}, id="7-4-2-swap"),
+    ])
+    def test_certificate_rejects_perturbed_row(self, monkeypatch, p, a, b, row):
         exact = fusion.fuse
+        assert exact(p, 1, b).mults != row
 
         def perturbed(p_, a_, b_):
-            row = exact(p_, a_, b_)
-            if (p_, a_, b_) != (p, a, b):
-                return row
-            mults = row.mults
-            mults[min(mults)] += 1
-            return FusionElement(p_, mults)
+            return FusionElement(p, row) if (p_, a_, b_) == (p, 1, b) else exact(p_, a_, b_)
 
         monkeypatch.setattr(fusion, "fuse", perturbed)
-        with pytest.raises(AssertionError, match=f"L_{a} \\(x\\) L_{b}"):
+        with pytest.raises(AssertionError, match=f"L_1 \\(x\\) L_{b} "):
             fpdim(p, a)
 
 

@@ -203,3 +203,8 @@ class TestNegligible:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             is_negligible(2, 0, 1)
+
+    def test_negative_weight(self):
+        # the same error tilting_char gives: there is no T_m with m < 0
+        with pytest.raises(ValueError, match="highest weight must be non-negative"):
+            is_negligible(5, 1, -3)

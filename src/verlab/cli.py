@@ -13,10 +13,17 @@ truncate at 64 unless ``--prec`` or the VERLAB_PREC environment variable
 says otherwise.  Bodies reach the layers through their modules at call
 time, and layers load on first use (see ``verlab/__init__.py``), so a
 command runs only the layers it calls.
+
+``run`` is the process entry (``verlab``, ``python -m verlab.cli``): after
+``main`` it flushes stdout (a closed one exits 1, stderr empty) and calls
+``gc.freeze()``, so the exit-time collections skip what the command made and
+the OS frees it.  ``main`` leaves the collector alone, because the tests and
+the benchmark's tracer call it inside their own process.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -442,5 +449,21 @@ def sgd_diagnose_cmd(nmax: int, homdim: int | None, **provider: Any) -> dict:
     }
 
 
+def run() -> None:
+    """Process entry: ``main``, then a frozen heap that the exit-time collections skip."""
+    try:
+        try:
+            main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlab
-from verlab.cli import main
+from verlab.cli import main, run
 
 SRC_DIR = str(Path(verlab.__file__).resolve().parents[1])
 MISSING_CSV = str(Path(SRC_DIR) / "no-such-lengths.csv")
@@ -34,16 +35,24 @@ class Run(NamedTuple):
     stderr: str
 
 
-def invoke(*args):
-    """Run ``main(args)`` in this process and capture its exit code and output."""
+def capture(entry):
+    """Call ``entry()`` in this process and capture its exit code and output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            main(list(args))
+            entry()
             code = 0
         except SystemExit as exc:
             code = exc.code
     return Run(code, out.getvalue(), err.getvalue())
+
+
+def invoke(*args):
+    """Run ``main(args)`` in this process, which leaves the collector as it was."""
+    collector = gc.get_freeze_count(), gc.isenabled()
+    res = capture(lambda: main(list(args)))
+    assert (gc.get_freeze_count(), gc.isenabled()) == collector
+    return res
 
 
 def payload(result):
@@ -301,6 +310,64 @@ class TestDispatch:
         res = invoke("verp", "fuse", "-p", "5", "-a", "1", "-b", "3", *flags)
         assert res.exit_code == 0
         assert res.stdout.startswith("{") is as_json
+
+
+class TestProcessEntry:
+    """``run``, the process entry: ``main``'s answers, then a frozen heap."""
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (("verp", "fuse", "-p", "5", "-a", "1", "-b", "3"), 0),
+        (("char", "simple", "-p", "4", "-m", "5"), 1),
+        (("char", "weyl"), 2),
+        (("verp", "fuse", "--help"), 0),
+    ])
+    def test_run_answers_as_main_does(self, args, exit_code, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["verlab", *args])
+        try:
+            by_run = capture(run)
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert by_run == invoke(*args)
+        assert by_run.exit_code == exit_code
+
+    def test_console_script_is_run(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'verlab = "verlab.cli:run"'
+
+    def test_large_answer_to_a_reader_that_leaves(self):
+        argv = [sys.executable, "-m", "verlab.cli", "char", "tilt", "-p", "3", "-m", "200000"]
+        env = {**os.environ, "PYTHONPATH": SRC_DIR}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.read(1)
+            proc.stdout.close()
+            try:
+                exit_code = proc.wait(timeout=10)
+            finally:
+                proc.kill()
+            stderr = proc.stderr.read()
+        assert first == b"{"
+        assert (exit_code, stderr) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("args", [
+        ("verp", "fuse", "-p", "5", "-a", "1", "-b", "3"),
+        ("char", "simple", "-p", "4", "-m", "5"),
+    ])
+    def test_small_answer_to_a_closed_pipe(self, args, unbuffered):
+        """Buffered, the answer fails at the final flush; unbuffered, in ``print``."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONUNBUFFERED": unbuffered}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "verlab.cli", *args],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=10,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestCharCommands:
